@@ -153,7 +153,9 @@ public:
     /// If the update threshold is crossed (and this caller wins the flush
     /// epoch), run `flush()` to encode/apply the pending changes and
     /// return its result plus the batch size. `flush` runs outside any
-    /// cache lock and may call back into the cache.
+    /// cache lock and may call back into the cache. No other caller can
+    /// win a flush until `flush` returns, so a flush that also sends its
+    /// batch puts batches on the wire in order.
     template <typename FlushFn>
     auto maybe_flush(double now, FlushFn&& flush)
         -> std::optional<std::pair<decltype(flush()), std::uint64_t>> {

@@ -1,15 +1,22 @@
-// sc::obs — fixed-capacity, per-thread event-trace ring buffer.
+// sc::obs — per-thread event-trace ring buffers whose memory follows use.
 //
 // Records protocol events (summary update emitted/applied/rejected,
 // false-positive probe, remote hit, ICP timeout, liveness transitions)
 // with monotonic nanosecond timestamps. Each thread writes into its own
-// ring, so recording never contends with other recorders; when a ring is
-// full the oldest events are overwritten (tracing must never block or
+// buffer, so recording never contends with other recorders; when a buffer
+// is full the oldest events are overwritten (tracing must never block or
 // grow the protocol path). drain() collects and clears every thread's
 // undrained events, merged in timestamp order.
 //
-// Recording takes the ring's per-thread mutex, which is uncontended
-// except while a drain is copying that same ring — a deliberate trade:
+// Memory bound: a thread's buffer grows with the events it records, up to
+// the per-thread capacity, and is freed when the thread exits. Its
+// undrained events move into one retired ring of the same capacity
+// (oldest overwritten first), so drain() still returns them. A ring
+// therefore holds at most (live recording threads + 1) x capacity slots,
+// however many threads come and go.
+//
+// Recording takes the buffer's per-thread mutex, which is uncontended
+// except while a drain is copying that same buffer — a deliberate trade:
 // ~20 ns on an event that already reads the monotonic clock, in exchange
 // for race-free drains from any thread.
 #pragma once
@@ -19,8 +26,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace sc::obs {
 
@@ -67,8 +72,8 @@ public:
                 std::uint64_t b = 0);
 
     /// Collect (and mark as consumed) every thread's undrained events,
-    /// merged by timestamp. Events overwritten before a drain are lost —
-    /// that is the ring semantics.
+    /// exited threads' included, merged by timestamp. Events overwritten
+    /// before a drain are lost — that is the ring semantics.
     [[nodiscard]] std::vector<TraceEvent> drain();
 
     /// Drop all undrained events.
@@ -78,22 +83,23 @@ public:
     [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
     [[nodiscard]] std::size_t capacity_per_thread() const { return capacity_; }
 
+    /// Event slots allocated right now: live threads' buffers plus the
+    /// retired ring. Never above (live recording threads + 1) x capacity.
+    [[nodiscard]] std::size_t retained_slots() const;
+
 private:
-    struct Buffer {
-        explicit Buffer(std::size_t cap) : slots(cap) {}
-        Mutex mu;
-        std::vector<TraceEvent> slots SC_GUARDED_BY(mu);
-        std::uint64_t next SC_GUARDED_BY(mu) = 0;     ///< total events ever recorded
-        std::uint64_t drained SC_GUARDED_BY(mu) = 0;  ///< events consumed by drain()
-    };
+    struct Buffer;
+    struct Shared;
+    struct ThreadBuffers;
 
-    [[nodiscard]] Buffer& local_buffer() SC_EXCLUDES(mu_);
+    [[nodiscard]] Buffer& local_buffer();
 
-    const std::uint64_t id_;  ///< distinguishes registries across reuse of addresses
+    const std::uint64_t id_;  ///< distinguishes rings across reuse of addresses
     const std::size_t capacity_;
     std::atomic<bool> enabled_{true};
-    Mutex mu_;
-    std::vector<std::shared_ptr<Buffer>> buffers_ SC_GUARDED_BY(mu_);
+    /// Threads hold this weakly: one that exits after the ring is gone
+    /// finds nothing to retire into and leaves it alone.
+    std::shared_ptr<Shared> shared_;
 };
 
 /// Shorthand: record into the global ring.

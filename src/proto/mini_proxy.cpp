@@ -272,17 +272,18 @@ void MiniProxy::stop() {
 
 void MiniProxy::broadcast_full_summary() {
     if (config_.mode != ShareMode::summary) return;
-    std::vector<std::vector<std::uint8_t>> chunks;
-    {
-        const MutexLock lock(node_mu_);
-        sync_node_locked();  // the bitmap must reflect every journaled insert
-        chunks = node_.encode_full_update_chunks();
-    }
     const auto sibs = sibling_snapshot();
-    for (const auto& msg : chunks)
-        for (const auto& s : *sibs) send_udp(s->icp, msg);
+    std::size_t chunks = 0;
+    {
+        const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
+        sync_node_locked();  // the bitmap must reflect every journaled insert
+        const auto msgs = node_.encode_full_update_chunks();
+        for (const auto& msg : msgs)
+            for (const auto& s : *sibs) send_udp(s->icp, msg);
+        chunks = msgs.size();
+    }
     const MutexLock lock(stats_mu_);
-    stats_.updates_sent += chunks.size() * sibs->size();
+    stats_.updates_sent += chunks * sibs->size();
 }
 
 MiniProxyStats MiniProxy::stats() const {
@@ -550,30 +551,32 @@ void MiniProxy::push_full_summary_to(NodeId id) {
     if (config_.mode != ShareMode::summary) return;
     const auto sib = find_sibling(id);
     if (!sib) return;  // left the mesh while the task was queued
-    std::vector<std::vector<std::uint8_t>> chunks;
+    std::size_t chunks = 0;
     {
-        const MutexLock lock(node_mu_);
+        const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
         sync_node_locked();  // the bitmap must reflect every journaled insert
-        chunks = node_.encode_full_update_chunks();
+        const auto msgs = node_.encode_full_update_chunks();
+        for (const auto& msg : msgs) send_udp(sib->icp, msg);
+        chunks = msgs.size();
     }
-    for (const auto& msg : chunks) send_udp(sib->icp, msg);
     const MutexLock lock(stats_mu_);
-    stats_.resync_fulls_sent += chunks.size();
+    stats_.resync_fulls_sent += chunks;
 }
 
 void MiniProxy::broadcast_seq_heartbeat() {
     if (config_.mode != ShareMode::summary) return;
-    std::vector<std::uint8_t> payload;
-    {
-        const MutexLock lock(node_mu_);
-        payload = node_.encode_seq_heartbeat();
-    }
     const auto sibs = sibling_snapshot();
     std::size_t sent = 0;
-    for (const auto& s : *sibs) {
-        if (!s->alive.load(std::memory_order_relaxed)) continue;
-        send_udp(s->icp, payload);
-        ++sent;
+    {
+        // Advertising the next sequence before an earlier delta is on the
+        // wire would make every receiver read a gap (see node_mu_).
+        const MutexLock lock(node_mu_);
+        const auto payload = node_.encode_seq_heartbeat();
+        for (const auto& s : *sibs) {
+            if (!s->alive.load(std::memory_order_relaxed)) continue;
+            send_udp(s->icp, payload);
+            ++sent;
+        }
     }
     const MutexLock lock(stats_mu_);
     stats_.seq_heartbeats_sent += sent;
@@ -673,16 +676,19 @@ SC_EVENT_LOOP_ONLY void MiniProxy::sweep_idle_sessions(
         if (s->busy || !s->outbox.empty()) continue;  // active, not idle
         if (now - s->last_activity > config_.idle_timeout) idle.push_back(id);
     }
+    if (idle.empty()) return;
+    {
+        // Count before closing: a client that has seen EOF must observe
+        // the close as counted.
+        const MutexLock lock(stats_mu_);
+        stats_.idle_closes += idle.size();
+    }
     for (const std::uint64_t id : idle) {
         // Quiet close: no response bytes, no log line — the peer parked a
         // keep-alive connection and walked away.
         obs::trace(obs::TraceEventType::session_idle_closed,
                    static_cast<std::uint16_t>(config_.id), id & 0xffffffffu);
         drop_session(id);
-    }
-    if (!idle.empty()) {
-        const MutexLock lock(stats_mu_);
-        stats_.idle_closes += idle.size();
     }
 }
 
@@ -1400,18 +1406,21 @@ void MiniProxy::insert_document(const HttpLiteRequest& req) {
 void MiniProxy::broadcast_updates() {
     // The batcher elects exactly one flusher per threshold crossing:
     // concurrent workers' inserts coalesce into that flusher's batch
-    // instead of each worker broadcasting its own delta.
+    // instead of each worker broadcasting its own delta. The batch goes on
+    // the wire inside the flush, under node_mu_: the next flusher, and
+    // the next heartbeat, take their sequence numbers after it is sent.
     const auto flushed = engine_.maybe_flush(0.0, [this] {
+        const auto sibs = sibling_snapshot();
         const MutexLock lock(node_mu_);
         sync_node_locked();
-        return node_.encode_pending_updates();
+        const auto msgs = node_.encode_pending_updates();
+        for (const auto& msg : msgs)
+            for (const auto& s : *sibs) send_udp(s->icp, msg);
+        return msgs.size() * sibs->size();
     });
-    if (!flushed || flushed->first.empty()) return;
-    const auto sibs = sibling_snapshot();
-    for (const auto& msg : flushed->first)
-        for (const auto& s : *sibs) send_udp(s->icp, msg);
+    if (!flushed || flushed->first == 0) return;
     const MutexLock lock(stats_mu_);
-    stats_.updates_sent += flushed->first.size() * sibs->size();
+    stats_.updates_sent += flushed->first;
 }
 
 }  // namespace sc

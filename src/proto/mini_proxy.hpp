@@ -466,7 +466,10 @@ private:
     /// DeltaBatcher journal (a leaf lock), and sync_node_locked() later
     /// mirrors the journal into node_ under node_mu_, outside the cache
     /// shard mutexes — so node_mu_ and the shard mutexes are unordered
-    /// and a flush may freely call back into the cache.
+    /// and a flush may freely call back into the cache. It also orders
+    /// the update stream: every delta, heartbeat and full bitmap takes its
+    /// sequence number and is sent under one hold of node_mu_, so
+    /// sequence numbers leave this proxy in order.
     mutable Mutex node_mu_;
     SummaryCacheNode node_;
     /// core::PeerDirectory over node_: the replica probe is lock-free

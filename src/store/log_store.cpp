@@ -1,13 +1,14 @@
 #include "store/log_store.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <dirent.h>
+#include <filesystem>
+#include <system_error>
 
 #include "util/sc_assert.hpp"
 
@@ -62,7 +63,11 @@ LogStructuredStore::LogStructuredStore(LogStoreConfig config) : config_(std::mov
         "sc_store_recovery_read_seconds", "Warm-restart sequential segment scan time",
         obs::default_latency_bounds(), labels);
 
-    ::mkdir(config_.dir.c_str(), 0755);  // EEXIST is fine; create() fails loudly below
+    // Parents too. A path that cannot become a directory fails here, with
+    // its name, instead of at the first segment rotation.
+    std::error_code ec;
+    std::filesystem::create_directories(config_.dir, ec);
+    if (ec) throw std::system_error(ec, "cannot create disk directory '" + config_.dir + "'");
 
     {
         const MutexLock io(io_mu_);

@@ -42,7 +42,7 @@
 namespace sc::store {
 
 struct LogStoreConfig {
-    std::string dir;                    ///< segment directory (created if absent)
+    std::string dir;                    ///< segment directory (created with its parents)
     std::uint64_t capacity_bytes = 0;   ///< sum of entry sizes, like LruCache
     std::uint64_t max_object_bytes = 250'000;  ///< paper's hit-object cutoff
     std::uint64_t segment_target_bytes = 4ull * 1024 * 1024;
@@ -53,7 +53,9 @@ struct LogStoreConfig {
 
 class LogStructuredStore final : public CacheStore {
 public:
-    /// Opens (creating the directory if needed) and recovers the log.
+    /// Opens (creating the directory and its parents if needed) and
+    /// recovers the log. Throws std::system_error naming the directory
+    /// when it cannot be created.
     explicit LogStructuredStore(LogStoreConfig config);
     ~LogStructuredStore() override;
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -141,6 +142,35 @@ TEST_F(LogStoreTest, TouchPromotesWithoutVersionCheck) {
     ASSERT_TRUE(store->insert("http://a/4", 100, 1));  // evicts 2, not 1
     EXPECT_TRUE(store->contains("http://a/1"));
     EXPECT_FALSE(store->contains("http://a/2"));
+}
+
+// --- the directory --------------------------------------------------------
+
+TEST_F(LogStoreTest, MissingParentDirectoriesAreCreated) {
+    auto cfg = config(1'000'000);
+    cfg.dir = (dir_ / "a" / "b" / "c").string();
+    cfg.segment_target_bytes = kSegmentHeaderBytes + 64;  // rotate every few inserts
+    {
+        auto store = open(cfg);
+        for (int i = 0; i < 20; ++i)
+            ASSERT_TRUE(store->insert("http://a/" + std::to_string(i), 100, 1));
+        EXPECT_GT(store->segment_count(), 1u);
+    }
+    ASSERT_TRUE(fs::is_directory(cfg.dir));
+    EXPECT_EQ(open(cfg)->document_count(), 20u);
+}
+
+TEST_F(LogStoreTest, UncreatableDirectoryThrowsNamingIt) {
+    fs::create_directories(dir_);
+    std::ofstream(dir_ / "file") << "a file, not a directory";
+    auto cfg = config();
+    cfg.dir = (dir_ / "file" / "segments").string();
+    try {
+        (void)open(cfg);
+        FAIL() << "opened a store under a regular file";
+    } catch (const std::system_error& e) {
+        EXPECT_NE(std::string(e.what()).find(cfg.dir), std::string::npos) << e.what();
+    }
 }
 
 // --- recovery -------------------------------------------------------------

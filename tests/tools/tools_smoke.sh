@@ -18,8 +18,11 @@ trap cleanup EXIT
 
 fail() { echo "FAIL: $1" >&2; exit 1; }
 
-# Pick a port block unlikely to collide (derived from our PID).
-BASE=$(( 20000 + ($$ % 20000) ))
+# Pick a port block unlikely to collide (derived from our PID), below
+# Linux's ephemeral range (32768+): the suite's keep-alive scale test leaves
+# thousands of client ports there in TIME-WAIT, and sc_origin's bind fails
+# on any of them.
+BASE=$(( 20000 + ($$ % 12000) ))
 P_ORIGIN=$((BASE)) P1_HTTP=$((BASE+1)) P1_ICP=$((BASE+2)) P2_HTTP=$((BASE+3)) P2_ICP=$((BASE+4))
 
 # --- offline path -----------------------------------------------------------

@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,7 +154,15 @@ int main(int argc, char** argv) {
     else if (mode == "digest") cfg.mode = ShareMode::digest_pull;
     else { std::fprintf(stderr, "bad --mode\n"); return 2; }
 
-    MiniProxy proxy(cfg);
+    std::unique_ptr<MiniProxy> owned;
+    try {
+        owned = std::make_unique<MiniProxy>(cfg);
+    } catch (const std::exception& e) {
+        // A --disk-dir that cannot be created, a port already in use, ...
+        std::fprintf(stderr, "sc_proxy: %s\n", e.what());
+        return 2;
+    }
+    MiniProxy& proxy = *owned;
     if (flags.has("sibling")) {
         for (const SiblingSpec& s : parse_siblings(flags.require("sibling")))
             proxy.add_sibling(s.id, s.icp, s.http);

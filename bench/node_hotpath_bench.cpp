@@ -124,21 +124,11 @@ constexpr std::uint64_t kDocBytes = 8192;
 
 /// The proxy's request path with the sockets removed: engine + sharded
 /// cache + node-held sibling replicas, wired exactly like MiniProxy
-/// (cache hooks -> DeltaBatcher journal; probes -> replica snapshots).
+/// (cache hooks -> DeltaBatcher journal; probes -> replica snapshots, the
+/// node itself being the engine's lock-free PeerDirectory).
 struct HotPath {
-    /// PeerDirectory adapter over the node's lock-free replica probe —
-    /// the same shape as MiniProxy::NodeProbe.
-    struct NodeProbe final : core::PeerDirectory {
-        const SummaryCacheNode* node = nullptr;
-        [[nodiscard]] std::vector<std::uint32_t> promising_peers(
-            std::string_view url) const override {
-            return node->promising_siblings(url);
-        }
-    };
-
     LruCache cache;
     SummaryCacheNode node;
-    NodeProbe probe;
     core::ProtocolEngine engine;
 
     HotPath(std::size_t shards, const std::vector<std::string>& urls)
@@ -150,8 +140,7 @@ struct HotPath {
               return c;
           }()),
           engine(core::ProtocolEngineConfig{0, core::DeltaBatcherConfig{0.01, 0.0, 0}},
-                 cache, nullptr, &probe) {
-        probe.node = &node;
+                 cache, nullptr, &node) {
         // Four siblings, each advertising an interleaved half of the URL
         // universe: probes mix promising peers and empty candidate sets.
         for (NodeId id = 1; id <= 4; ++id) {

@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
 #include "proto/replay_client.hpp"
@@ -67,16 +69,17 @@ int main(int argc, char** argv) {
     std::printf("\nper-proxy protocol economy:\n");
     std::printf("%6s %9s %10s %10s %12s %12s %12s %10s\n", "proxy", "requests", "localHit",
                 "remoteHit", "queriesSent", "updatesSent", "updatesRecv", "falseHit");
+    const auto snap = obs::metrics().snapshot();  // every count lives in the registry
     for (auto& p : proxies) {
-        const auto s = p->stats();
+        const auto count = [&](const char* name) -> unsigned long long {
+            const auto* s = snap.find(name, {{"node", std::to_string(p->id())}});
+            return s != nullptr ? s->counter : 0;
+        };
         std::printf("%6u %9llu %10llu %10llu %12llu %12llu %12llu %10llu\n", p->id(),
-                    static_cast<unsigned long long>(s.requests),
-                    static_cast<unsigned long long>(s.local_hits),
-                    static_cast<unsigned long long>(s.remote_hits),
-                    static_cast<unsigned long long>(s.icp_queries_sent),
-                    static_cast<unsigned long long>(s.updates_sent),
-                    static_cast<unsigned long long>(s.updates_received),
-                    static_cast<unsigned long long>(s.false_hit_queries));
+                    count("sc_proxy_requests_total"), count("sc_cache_hits_total"),
+                    count("sc_proxy_remote_hits_total"), count("sc_proxy_icp_queries_sent_total"),
+                    count("sc_proxy_updates_sent_total"), count("sc_node_updates_applied_total"),
+                    count("sc_proxy_false_hit_queries_total"));
     }
     std::printf("\norigin served %llu fetches (= federation misses)\n",
                 static_cast<unsigned long long>(origin.requests_served()));

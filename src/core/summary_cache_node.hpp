@@ -120,15 +120,16 @@ public:
 
     /// Unconditionally encode a full-bitmap snapshot in one datagram (used
     /// to initialize a freshly (re)started sibling, mirroring Squid's
-    /// recovery behaviour, and served as the payload of the pull-based
-    /// Cache Digest variant). Carries the current delta sequence so the
+    /// recovery behaviour). Carries the current delta sequence so the
     /// receiver resumes gap detection exactly where the snapshot leaves
     /// off; does NOT consume a sequence number. Throws WireError if the
     /// bitmap exceeds one datagram — use encode_full_update_chunks then.
     [[nodiscard]] std::vector<std::uint8_t> encode_full_update();
 
     /// Same snapshot, chunked to fit kMaxIcpDatagram (DIRFULL word_offset
-    /// reassembly). This is the DIRREQ resync / bootstrap answer.
+    /// reassembly). This is the DIRREQ answer: a resync or bootstrap in
+    /// push mode, and the digest itself in the pull-based Cache Digest
+    /// variant, whose periodic DIRREQ is the pull.
     [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_full_update_chunks();
 
     /// Sequence heartbeat: an empty delta advertising the sequence the

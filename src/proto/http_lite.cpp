@@ -51,7 +51,7 @@ std::optional<HttpLiteStatus> parse_http_lite_status(std::string_view s) {
 }
 
 std::string format_request(const HttpLiteRequest& r) {
-    std::string out = r.digest ? "DGET " : (r.sibling_only ? "SGET " : "GET ");
+    std::string out = r.sibling_only ? "SGET " : "GET ";
     out += r.url;
     out += ' ';
     out += std::to_string(r.version);
@@ -69,8 +69,6 @@ std::optional<HttpLiteRequest> parse_request(std::string_view line) {
         r.sibling_only = false;
     } else if (fields[0] == "SGET") {
         r.sibling_only = true;
-    } else if (fields[0] == "DGET") {
-        r.digest = true;
     } else {
         return std::nullopt;
     }

@@ -5,8 +5,6 @@
 //                proxy -> origin)
 //            |  "SGET <url> <version> <size>\r\n"     (proxy -> sibling:
 //                serve from cache only; never forward — prevents loops)
-//            |  "DGET - 0 0\r\n"                      (proxy -> sibling:
-//                fetch your cache digest — the Squid Cache Digest pull)
 //   response := "<status> <size>\r\n" followed by <size> body bytes
 //   status   := OK | LOCAL_HIT | REMOTE_HIT | MISS | NOT_CACHED | ERROR
 //
@@ -37,7 +35,6 @@ enum class HttpLiteStatus : std::uint8_t {
 
 struct HttpLiteRequest {
     bool sibling_only = false;  ///< SGET
-    bool digest = false;        ///< DGET (url/version/size ignored)
     std::string url;
     std::uint64_t version = 0;
     std::uint64_t size = 0;

@@ -90,14 +90,11 @@ MiniProxy::MiniProxy(MiniProxyConfig config)
           config.id,
           std::max<std::uint64_t>(1, config.cache_bytes / kAverageDocumentBytes),
           config.bloom}),
-      node_probe_(*this),
       engine_(core::ProtocolEngineConfig{
                   config.id, core::DeltaBatcherConfig{config.update_threshold, 0.0, 0}},
-              cache_, nullptr, &node_probe_),
+              cache_, nullptr, &node_),
       next_query_number_(std::random_device{}()) {
     backend_kind_ = net::resolve_event_backend_kind(config_.event_backend);
-    if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) < 0)
-        throw std::system_error(errno, std::generic_category(), "pipe2");
     siblings_.store(std::make_shared<const SiblingTable>(), std::memory_order_release);
     // Config wins over the environment so a test can pin exact fault rates
     // while CI sweeps loss via SC_UDP_FAULT_* without rebuilding.
@@ -107,24 +104,26 @@ MiniProxy::MiniProxy(MiniProxyConfig config)
     const obs::Labels labels{{"mode", share_mode_name(config_.mode)},
                              {"node", std::to_string(config_.id)}};
     auto& reg = obs::metrics();
-    obs_.requests = reg.counter("sc_proxy_requests_total",
-                                "Client GET requests handled", labels);
-    obs_.cache_hits = reg.counter(
+    const auto counter = [&](const char* name, const char* help) {
+        return reg.counter(name, help, labels);
+    };
+    obs_.requests = counter("sc_proxy_requests_total", "Client GET requests handled");
+    obs_.cache_hits = counter(
         "sc_cache_hits_total",
-        "Client requests served from the local cache (LOCAL_HIT access-log lines)", labels);
-    obs_.cache_misses = reg.counter(
+        "Client requests served from the local cache (LOCAL_HIT access-log lines)");
+    obs_.cache_misses = counter(
         "sc_cache_misses_total",
-        "Client requests not in the local cache (REMOTE_HIT or MISS lines)", labels);
-    obs_.remote_hits = reg.counter("sc_proxy_remote_hits_total",
-                                   "Misses satisfied by a sibling cache", labels);
-    obs_.origin_fetches = reg.counter("sc_proxy_origin_fetches_total",
-                                      "Misses fetched from the origin server", labels);
-    obs_.false_hit_queries = reg.counter(
-        "sc_proxy_false_hit_queries_total",
-        "Sibling replied MISS after its summary predicted a hit", labels);
-    obs_.icp_timeouts = reg.counter(
-        "sc_proxy_icp_timeouts_total",
-        "Query rounds where the reply wait expired with replies outstanding", labels);
+        "Client requests not in the local cache (REMOTE_HIT or MISS lines)");
+    obs_.remote_hits =
+        counter("sc_proxy_remote_hits_total", "Misses satisfied by a sibling cache");
+    obs_.origin_fetches =
+        counter("sc_proxy_origin_fetches_total", "Misses fetched from the origin server");
+    obs_.false_hit_queries =
+        counter("sc_proxy_false_hit_queries_total",
+                "Sibling replied MISS after its summary predicted a hit");
+    obs_.icp_timeouts =
+        counter("sc_proxy_icp_timeouts_total",
+                "Query rounds where the reply wait expired with replies outstanding");
     obs_.request_latency = reg.histogram("sc_proxy_request_latency_seconds",
                                          "Client request latency (seconds)",
                                          obs::default_latency_bounds(), labels);
@@ -142,9 +141,45 @@ MiniProxy::MiniProxy(MiniProxyConfig config)
         "Response bytes buffered for slow readers, awaiting POLLOUT", labels);
     obs_.open_sessions = reg.gauge(
         "sc_proxy_open_sessions", "Accepted client connections currently alive", labels);
-    obs_.keepalive_reuses = reg.counter(
-        "sc_proxy_keepalive_reuses_total",
-        "Requests served on an already-used connection (keep-alive wins)", labels);
+    obs_.keepalive_reuses =
+        counter("sc_proxy_keepalive_reuses_total",
+                "Requests served on an already-used connection (keep-alive wins)");
+    obs_.icp_queries_sent = counter("sc_proxy_icp_queries_sent_total", "ICP queries sent");
+    obs_.icp_queries_received =
+        counter("sc_proxy_icp_queries_received_total", "ICP queries answered");
+    obs_.icp_replies_sent =
+        counter("sc_proxy_icp_replies_sent_total", "ICP HIT, MISS and HIT_OBJ replies sent");
+    obs_.icp_replies_received = counter("sc_proxy_icp_replies_received_total",
+                                        "ICP replies received within their query round");
+    obs_.updates_sent =
+        counter("sc_proxy_updates_sent_total",
+                "Broadcast summary update datagrams (one per sibling per datagram)");
+    obs_.sibling_fetches =
+        counter("sc_proxy_sibling_fetches_total", "Documents fetched from a sibling (SGET)");
+    obs_.keepalives_sent =
+        counter("sc_proxy_keepalives_sent_total", "SECHO liveness probes sent");
+    obs_.keepalives_received =
+        counter("sc_proxy_keepalives_received_total", "SECHO liveness probes answered");
+    obs_.sibling_death_events = counter("sc_proxy_sibling_death_events_total",
+                                        "Siblings declared dead by the liveness check");
+    obs_.sibling_recovery_events = counter("sc_proxy_sibling_recovery_events_total",
+                                           "Dead siblings heard from again");
+    obs_.hit_obj_served = counter("sc_proxy_hit_obj_served_total",
+                                  "ICP replies that carried the object inline (HIT_OBJ)");
+    obs_.hit_obj_used = counter("sc_proxy_hit_obj_used_total",
+                                "Remote hits served from an inline HIT_OBJ object");
+    obs_.resync_requests_sent =
+        counter("sc_proxy_resync_requests_sent_total",
+                "DIRREQs sent: summary resyncs and digest_pull pulls");
+    obs_.resync_requests_received = counter("sc_proxy_resync_requests_received_total",
+                                            "DIRREQs received asking for our bitmap");
+    obs_.resync_fulls_sent =
+        counter("sc_proxy_resync_fulls_sent_total",
+                "Full-bitmap datagrams sent to one peer (bootstrap, resync, pull)");
+    obs_.siblings_joined =
+        counter("sc_proxy_siblings_joined_total", "Siblings added while running");
+    obs_.idle_closes =
+        counter("sc_proxy_idle_closes_total", "Keep-alive sessions closed by the idle sweep");
     if (!config_.access_log_path.empty()) {
         access_log_ = std::make_unique<std::ofstream>(config_.access_log_path,
                                                       std::ios::app);
@@ -172,12 +207,6 @@ MiniProxy::MiniProxy(MiniProxyConfig config)
     }
 }
 
-std::vector<std::uint32_t> MiniProxy::NodeProbe::promising_peers(std::string_view url) const {
-    // Lock-free: the node probes its atomically published replica
-    // snapshots; workers never serialize on node_mu_ to pick peers.
-    return proxy.node_.promising_siblings(url);
-}
-
 void MiniProxy::sync_node_locked() {
     for (const auto& op : engine_.batcher().drain_journal()) {
         if (op.insert)
@@ -187,10 +216,19 @@ void MiniProxy::sync_node_locked() {
     }
 }
 
-MiniProxy::~MiniProxy() {
-    stop();
-    if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
-    if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
+MiniProxy::~MiniProxy() { stop(); }
+
+MiniProxy::WakePipe::WakePipe() {
+    int fds[2] = {-1, -1};
+    if (::pipe2(fds, O_CLOEXEC | O_NONBLOCK) < 0)
+        throw std::system_error(errno, std::generic_category(), "pipe2");
+    read_fd = fds[0];
+    write_fd = fds[1];
+}
+
+MiniProxy::WakePipe::~WakePipe() {
+    ::close(read_fd);
+    ::close(write_fd);
 }
 
 void MiniProxy::add_sibling(NodeId id, Endpoint icp, Endpoint http) {
@@ -216,10 +254,7 @@ void MiniProxy::add_sibling(NodeId id, Endpoint icp, Endpoint http) {
     if (joined_running_mesh) {
         obs::trace(obs::TraceEventType::sibling_joined,
                    static_cast<std::uint16_t>(config_.id), id);
-        {
-            const MutexLock lock(stats_mu_);
-            ++stats_.siblings_joined;
-        }
+        obs_.siblings_joined.inc();
         wake_loop();  // the event loop bootstraps the newcomer promptly
     }
 }
@@ -237,8 +272,6 @@ void MiniProxy::start() {
     workers_.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
     loop_ = std::thread([this] { run(); });
-    if (config_.mode == ShareMode::digest_pull)
-        digest_thread_ = std::thread([this] { digest_fetch_loop(); });
 }
 
 void MiniProxy::stop() {
@@ -258,7 +291,6 @@ void MiniProxy::stop() {
     for (auto& w : workers_)
         if (w.joinable()) w.join();
     workers_.clear();
-    if (digest_thread_.joinable()) digest_thread_.join();
     // Only now — with the loop and every worker joined — is it safe to tear
     // down sessions: a worker holds a raw Session* through its Job until the
     // moment it exits, so destroying them from run() raced that access.
@@ -273,28 +305,12 @@ void MiniProxy::stop() {
 void MiniProxy::broadcast_full_summary() {
     if (config_.mode != ShareMode::summary) return;
     const auto sibs = sibling_snapshot();
-    std::size_t chunks = 0;
-    {
-        const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
-        sync_node_locked();  // the bitmap must reflect every journaled insert
-        const auto msgs = node_.encode_full_update_chunks();
-        for (const auto& msg : msgs)
-            for (const auto& s : *sibs) send_udp(s->icp, msg);
-        chunks = msgs.size();
-    }
-    const MutexLock lock(stats_mu_);
-    stats_.updates_sent += chunks * sibs->size();
-}
-
-MiniProxyStats MiniProxy::stats() const {
-    MiniProxyStats s;
-    {
-        const MutexLock lock(stats_mu_);
-        s = stats_;
-    }
-    s.icp_stale_replies = demux_.stale_replies();
-    s.loop_wakeups = loop_wakeups_.load(std::memory_order_relaxed);
-    return s;
+    const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
+    sync_node_locked();  // the bitmap must reflect every journaled insert
+    const auto msgs = node_.encode_full_update_chunks();
+    obs_.updates_sent.inc(msgs.size() * sibs->size());
+    for (const auto& msg : msgs)
+        for (const auto& s : *sibs) udp_.send_to(s->icp, msg);
 }
 
 std::size_t MiniProxy::cached_documents() const { return cache_.document_count(); }
@@ -321,21 +337,17 @@ void MiniProxy::log_access(HttpLiteStatus status, const HttpLiteRequest& req,
     access_log_->flush();
 }
 
-void MiniProxy::finish_request(HttpLiteStatus status, const HttpLiteRequest& req,
+void MiniProxy::finish_request(Session& s, const SessionRequest& r, HttpLiteStatus status,
+                               std::string_view body,
                                std::chrono::steady_clock::time_point started) {
     if (status == HttpLiteStatus::local_hit)
         obs_.cache_hits.inc();
     else
         obs_.cache_misses.inc();
+    send_response(s, r, status, body);
     obs_.request_latency.observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count());
-    log_access(status, req, started);
-}
-
-void MiniProxy::send_udp(const Endpoint& to, std::span<const std::uint8_t> payload) {
-    udp_.send_to(to, payload);
-    const MutexLock lock(stats_mu_);
-    stats_.udp_bytes_sent += payload.size();
+    log_access(status, r.req, started);
 }
 
 SC_EVENT_LOOP_ONLY void MiniProxy::send_keepalives_and_check_liveness() {
@@ -351,11 +363,8 @@ SC_EVENT_LOOP_ONLY void MiniProxy::send_keepalives_and_check_liveness() {
     probe.options = http_endpoint_.port;
     const auto payload = encode_reply(probe);
     const auto sibs = sibling_snapshot();
-    for (const auto& s : *sibs) send_udp(s->icp, payload);
-    {
-        const MutexLock lock(stats_mu_);
-        stats_.keepalives_sent += sibs->size();
-    }
+    obs_.keepalives_sent.inc(sibs->size());
+    for (const auto& s : *sibs) udp_.send_to(s->icp, payload);
     if (config_.mode == ShareMode::summary && !sibs->empty()) {
         // Tail-loss repair rides the same tick: a lost *last* delta
         // leaves a receiver synced-but-stale forever (gap detection
@@ -363,6 +372,13 @@ SC_EVENT_LOOP_ONLY void MiniProxy::send_keepalives_and_check_liveness() {
         // with an empty delta. The encode takes node_mu_ — worker, not
         // the event loop.
         enqueue_task([this] { broadcast_seq_heartbeat(); });
+    } else if (config_.mode == ShareMode::digest_pull) {
+        // The Cache Digest pull: a DIRREQ to every live sibling, answered
+        // by serve_resync with the chunked DIRFULL a push stream repairs
+        // with.
+        for (const auto& s : *sibs)
+            if (s->alive.load(std::memory_order_relaxed)) request_resync(*s);
+        enqueue_task([this] { discard_unsent_deltas(); });
     }
 
     const auto deadline = config_.keepalive_interval * config_.liveness_strikes;
@@ -373,81 +389,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::send_keepalives_and_check_liveness() {
             node_.forget_sibling(s->id);  // stale replica must not attract queries
             obs::trace(obs::TraceEventType::sibling_dead,
                        static_cast<std::uint16_t>(config_.id), s->id);
-            const MutexLock lock(stats_mu_);
-            ++stats_.sibling_death_events;
-        }
-    }
-}
-
-void MiniProxy::digest_fetch_loop() {
-    // Runs in its own thread so two pullers fetching from each other can
-    // never block each other's event loops (the pull-mode deadlock).
-    refresh_digests_once();  // initial bootstrap pull
-    auto next = std::chrono::steady_clock::now() + config_.digest_refresh;
-    while (!stopping_.load()) {
-        if (std::chrono::steady_clock::now() < next) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            continue;
-        }
-        next += config_.digest_refresh;
-        refresh_digests_once();
-    }
-}
-
-void MiniProxy::refresh_digests_once() {
-    {
-        // We never push deltas in pull mode: mirror the journal (keeping
-        // the counting filter current for DGET serves), drop the delta log.
-        const MutexLock lock(node_mu_);
-        sync_node_locked();
-        node_.discard_delta();
-    }
-    const auto sibs = sibling_snapshot();
-    for (const auto& s : *sibs) {
-        if (stopping_.load()) return;
-        try {
-            TcpConnection conn = TcpConnection::connect(s->http);
-            set_receive_timeout(conn.fd(), config_.fetch_timeout);
-            HttpLiteRequest dget;
-            dget.digest = true;
-            dget.url = "-";
-            conn.write_all(format_request(dget));
-            const auto line = conn.read_line();
-            if (!line) continue;
-            const auto header = parse_response_header(*line);
-            if (!header || header->status != HttpLiteStatus::ok) continue;
-            if (header->size > kMaxDigestBytes) {
-                // A digest bigger than any wire-legal bitmap is a protocol
-                // violation, not a big cache: refuse to allocate for it.
-                const MutexLock lock(stats_mu_);
-                ++stats_.digests_oversized;
-                continue;
-            }
-            std::string body;
-            conn.read_exact(header->size, body);
-            // The body is one or more concatenated DIRFULL chunk messages
-            // (large digests ship chunked). Each message states its own
-            // length at header bytes 2-3; slice and apply in order.
-            std::span<const std::uint8_t> rest(
-                reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
-            bool applied = false;
-            while (rest.size() >= kIcpHeaderBytes) {
-                const std::size_t len =
-                    (static_cast<std::size_t>(rest[2]) << 8) | rest[3];
-                if (len < kIcpHeaderBytes || len > rest.size())
-                    throw WireError("bad digest chunk framing");
-                const auto update = decode_dirupdate(rest.first(len));
-                // Replica ingestion is internally synchronized — no node_mu_.
-                if (node_.apply_sibling_update(update) == SummaryApplyResult::applied)
-                    applied = true;
-                rest = rest.subspan(len);
-            }
-            if (applied) {
-                const MutexLock lock(stats_mu_);
-                ++stats_.digests_fetched;
-            }
-        } catch (const std::exception&) {
-            // Peer busy or down: liveness handles persistent failure.
+            obs_.sibling_death_events.inc();
         }
     }
 }
@@ -462,10 +404,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::note_heard_from(NodeId sender) {
         sib->alive.store(true, std::memory_order_relaxed);
         obs::trace(obs::TraceEventType::sibling_recovered,
                    static_cast<std::uint16_t>(config_.id), sib->id);
-        {
-            const MutexLock lock(stats_mu_);
-            ++stats_.sibling_recovery_events;
-        }
+        obs_.sibling_recovery_events.inc();
         if (config_.mode == ShareMode::summary) {
             // The bitmap encode takes node_mu_ and can be megabytes of
             // work — never on the event loop. Hand it to a worker; and
@@ -484,11 +423,10 @@ SC_EVENT_LOOP_ONLY void MiniProxy::request_resync(Sibling& sib) {
     IcpDirReq req;
     req.sender_host = config_.id;
     req.http_port = http_endpoint_.port;
-    send_udp(sib.icp, encode_dirreq(req));
+    obs_.resync_requests_sent.inc();
+    udp_.send_to(sib.icp, encode_dirreq(req));
     obs::trace(obs::TraceEventType::resync_requested,
                static_cast<std::uint16_t>(config_.id), sib.id);
-    const MutexLock lock(stats_mu_);
-    ++stats_.resync_requests_sent;
 }
 
 SC_EVENT_LOOP_ONLY void MiniProxy::serve_resync(Sibling& sib) {
@@ -520,7 +458,6 @@ SC_EVENT_LOOP_ONLY void MiniProxy::maybe_learn_sibling(NodeId id, Endpoint icp,
     // Receivers that already know the subject drop the introduction;
     // receivers that don't repeat this dance, so one point of contact is
     // enough to join a whole mesh.
-    std::uint64_t sent = 0;
     for (const auto& s : *veterans) {
         if (s->id == id) continue;
         IcpDirReq about_newcomer;
@@ -530,7 +467,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::maybe_learn_sibling(NodeId id, Endpoint icp,
         about_newcomer.subject_icp_host = icp.host;
         about_newcomer.subject_icp_port = icp.port;
         about_newcomer.subject_http_port = http_port;
-        send_udp(s->icp, encode_dirreq(about_newcomer));
+        udp_.send_to(s->icp, encode_dirreq(about_newcomer));
         IcpDirReq about_veteran;
         about_veteran.sender_host = config_.id;
         about_veteran.http_port = http_endpoint_.port;
@@ -538,48 +475,36 @@ SC_EVENT_LOOP_ONLY void MiniProxy::maybe_learn_sibling(NodeId id, Endpoint icp,
         about_veteran.subject_icp_host = s->icp.host;
         about_veteran.subject_icp_port = s->icp.port;
         about_veteran.subject_http_port = s->http.port;
-        send_udp(icp, encode_dirreq(about_veteran));
-        sent += 2;
-    }
-    if (sent != 0) {
-        const MutexLock lock(stats_mu_);
-        stats_.introductions_sent += sent;
+        udp_.send_to(icp, encode_dirreq(about_veteran));
     }
 }
 
 void MiniProxy::push_full_summary_to(NodeId id) {
-    if (config_.mode != ShareMode::summary) return;
+    if (!uses_summaries(config_.mode)) return;
     const auto sib = find_sibling(id);
     if (!sib) return;  // left the mesh while the task was queued
-    std::size_t chunks = 0;
-    {
-        const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
-        sync_node_locked();  // the bitmap must reflect every journaled insert
-        const auto msgs = node_.encode_full_update_chunks();
-        for (const auto& msg : msgs) send_udp(sib->icp, msg);
-        chunks = msgs.size();
-    }
-    const MutexLock lock(stats_mu_);
-    stats_.resync_fulls_sent += chunks;
+    const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
+    sync_node_locked();  // the bitmap must reflect every journaled insert
+    const auto msgs = node_.encode_full_update_chunks();
+    obs_.resync_fulls_sent.inc(msgs.size());
+    for (const auto& msg : msgs) udp_.send_to(sib->icp, msg);
 }
 
 void MiniProxy::broadcast_seq_heartbeat() {
     if (config_.mode != ShareMode::summary) return;
     const auto sibs = sibling_snapshot();
-    std::size_t sent = 0;
-    {
-        // Advertising the next sequence before an earlier delta is on the
-        // wire would make every receiver read a gap (see node_mu_).
-        const MutexLock lock(node_mu_);
-        const auto payload = node_.encode_seq_heartbeat();
-        for (const auto& s : *sibs) {
-            if (!s->alive.load(std::memory_order_relaxed)) continue;
-            send_udp(s->icp, payload);
-            ++sent;
-        }
-    }
-    const MutexLock lock(stats_mu_);
-    stats_.seq_heartbeats_sent += sent;
+    // Advertising the next sequence before an earlier delta is on the
+    // wire would make every receiver read a gap (see node_mu_).
+    const MutexLock lock(node_mu_);
+    const auto payload = node_.encode_seq_heartbeat();
+    for (const auto& s : *sibs)
+        if (s->alive.load(std::memory_order_relaxed)) udp_.send_to(s->icp, payload);
+}
+
+void MiniProxy::discard_unsent_deltas() {
+    const MutexLock lock(node_mu_);
+    sync_node_locked();
+    node_.discard_delta();
 }
 
 void MiniProxy::enqueue_task(std::function<void()> task) {
@@ -677,12 +602,9 @@ SC_EVENT_LOOP_ONLY void MiniProxy::sweep_idle_sessions(
         if (now - s->last_activity > config_.idle_timeout) idle.push_back(id);
     }
     if (idle.empty()) return;
-    {
-        // Count before closing: a client that has seen EOF must observe
-        // the close as counted.
-        const MutexLock lock(stats_mu_);
-        stats_.idle_closes += idle.size();
-    }
+    // Count before closing: a client that has seen EOF must observe the
+    // close as counted.
+    obs_.idle_closes.inc(idle.size());
     for (const std::uint64_t id : idle) {
         // Quiet close: no response bytes, no log line — the peer parked a
         // keep-alive connection and walked away.
@@ -695,7 +617,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::sweep_idle_sessions(
 void MiniProxy::wake_loop() {
     const char byte = 'w';
     // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
-    (void)!::write(wake_pipe_[1], &byte, 1);
+    (void)!::write(wake_pipe_.write_fd, &byte, 1);
 }
 
 SC_EVENT_LOOP_ONLY bool MiniProxy::pump_session(std::uint64_t id, Session& s) {
@@ -710,11 +632,7 @@ SC_EVENT_LOOP_ONLY bool MiniProxy::pump_session(std::uint64_t id, Session& s) {
         if (!request) continue;
         s.last_activity = std::chrono::steady_clock::now();
         ++s.requests_dispatched;
-        if (s.requests_dispatched > 1) {
-            obs_.keepalive_reuses.inc();
-            const MutexLock lock(stats_mu_);
-            ++stats_.keepalive_reuses;
-        }
+        if (s.requests_dispatched > 1) obs_.keepalive_reuses.inc();
         if (config_.max_requests_per_connection != 0 &&
             s.requests_dispatched >= config_.max_requests_per_connection)
             request->keep_alive = false;  // rotate: close after this response
@@ -730,8 +648,13 @@ SC_EVENT_LOOP_ONLY bool MiniProxy::pump_session(std::uint64_t id, Session& s) {
     // Peer closed; buffered requests all served. (EOF inside an HTTP
     // header block aborts that half-request with it.)
     if (s.saw_eof) return false;
-    // A stream this long without a newline is not a request line.
-    if (s.conn.buffered_bytes() > kMaxRequestLineBytes) return false;
+    // A stream this long without a newline is not a request line. Its
+    // unread tail makes the close a reset; sending FIN first lets the
+    // client read a clean EOF rather than ECONNRESET.
+    if (s.conn.buffered_bytes() > kMaxRequestLineBytes) {
+        (void)::shutdown(s.conn.fd(), SHUT_WR);
+        return false;
+    }
     return true;
 }
 
@@ -750,7 +673,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
     backend_ = make_event_backend(backend_kind_);
     backend_->add(listener_.fd(), true, false, kListenerTag);
     backend_->add(udp_.fd(), true, false, kUdpTag);
-    backend_->add(wake_pipe_[0], true, false, kWakeTag);
+    backend_->add(wake_pipe_.read_fd, true, false, kWakeTag);
     std::vector<net::ReadyEvent> ready;
     std::vector<Completion> done;
     std::vector<NodeId> joined;
@@ -763,8 +686,9 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
         // stop()) writes the wake pipe.
         auto deadline = next_keepalive_;
         if (config_.idle_timeout.count() > 0) deadline = std::min(deadline, next_idle_sweep_);
-        if (config_.mode == ShareMode::summary) {
-            // Bootstrap runtime joiners: push them our bitmap, pull theirs.
+        if (uses_summaries(config_.mode)) {
+            // Bootstrap runtime joiners: push them our bitmap, pull theirs
+            // (summary mode only: add_sibling queues none otherwise).
             joined.clear();
             {
                 const MutexLock lock(membership_mu_);
@@ -779,7 +703,8 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
             // Repair sweep: any live peer whose update stream is unsynced
             // (boot, quarantine after a gap, lost DIRREQ or lost full)
             // gets another DIRREQ, rate-limited per peer — this is what
-            // makes summary distribution converge under loss. While any
+            // makes summary distribution converge under loss, and what
+            // makes a digest puller's first pull at boot. While any
             // peer is unsynced, wake again when its rate limit next opens
             // instead of sleeping until the keepalive tick.
             const auto sibs = sibling_snapshot();
@@ -795,7 +720,6 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
 
         ready.clear();
         backend_->wait(deadline, ready);
-        loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
 
         // Worker completions first: they idle sessions that may have more
         // buffered (pipelined) requests ready to dispatch.
@@ -825,7 +749,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
         for (const net::ReadyEvent& ev : ready) {
             if (ev.tag == kWakeTag) {
                 char drain[256];
-                while (::read(wake_pipe_[0], drain, sizeof drain) > 0) {}
+                while (::read(wake_pipe_.read_fd, drain, sizeof drain) > 0) {}
                 continue;
             }
             if (ev.tag == kListenerTag) {
@@ -970,32 +894,6 @@ bool MiniProxy::handle_client_request(Session& s, const SessionRequest& r,
     }
     const HttpLiteRequest* req = &r.req;
 
-    if (req->digest) {
-        // Serve our cache digest: the full-bitmap update, chunked exactly
-        // as it would ship over UDP and concatenated (the puller slices on
-        // each chunk's own length field).
-        std::vector<std::vector<std::uint8_t>> chunks;
-        {
-            const MutexLock lock(node_mu_);
-            sync_node_locked();  // the digest must reflect journaled inserts
-            chunks = node_.encode_full_update_chunks();
-        }
-        std::size_t total = 0;
-        for (const auto& msg : chunks) total += msg.size();
-        {
-            // Count before replying: a puller that has read the digest body
-            // must observe it as served.
-            const MutexLock lock(stats_mu_);
-            ++stats_.digests_served;
-        }
-        // Digest bodies are lite-framed chunk streams (DGET never arrives
-        // over real HTTP), so this one response skips send_response.
-        send_to_client(s, format_response_header({HttpLiteStatus::ok, total}));
-        for (const auto& msg : chunks)
-            send_to_client(s, std::span<const std::uint8_t>(msg));
-        return r.keep_alive;
-    }
-
     if (req->sibling_only) {
         // SGET: serve from cache only; a stale or absent copy is NOT_CACHED.
         if (engine_.lookup_local(req->url, req->version) == LruCache::Lookup::hit)
@@ -1007,18 +905,9 @@ bool MiniProxy::handle_client_request(Session& s, const SessionRequest& r,
 
     const auto started = std::chrono::steady_clock::now();
     obs_.requests.inc();
-    {
-        const MutexLock lock(stats_mu_);
-        ++stats_.requests;
-    }
 
     if (engine_.lookup_local(req->url, req->version) == LruCache::Lookup::hit) {
-        {
-            const MutexLock lock(stats_mu_);
-            ++stats_.local_hits;
-        }
-        send_response(s, r, HttpLiteStatus::local_hit, synth_body(req->size));
-        finish_request(HttpLiteStatus::local_hit, *req, started);
+        finish_request(s, r, HttpLiteStatus::local_hit, synth_body(req->size), started);
         return r.keep_alive;
     }
 
@@ -1035,17 +924,12 @@ bool MiniProxy::handle_client_request(Session& s, const SessionRequest& r,
     }
 
     const auto serve_remote_hit = [&](NodeId from, bool inline_obj) {
-        {
-            const MutexLock lock(stats_mu_);
-            ++stats_.remote_hits;
-            if (inline_obj) ++stats_.hit_obj_used;
-        }
         obs_.remote_hits.inc();
+        if (inline_obj) obs_.hit_obj_used.inc();
         obs::trace(obs::TraceEventType::remote_hit,
                    static_cast<std::uint16_t>(config_.id), from, inline_obj ? 1 : 0);
         insert_document(*req);
-        send_response(s, r, HttpLiteStatus::remote_hit, synth_body(req->size));
-        finish_request(HttpLiteStatus::remote_hit, *req, started);
+        finish_request(s, r, HttpLiteStatus::remote_hit, synth_body(req->size), started);
     };
 
     bool served_remote = false;
@@ -1090,14 +974,9 @@ bool MiniProxy::handle_client_request(Session& s, const SessionRequest& r,
     if (served_remote) return r.keep_alive;
 
     const std::string body = fetch_from_origin(*req, ctx);
-    {
-        const MutexLock lock(stats_mu_);
-        ++stats_.origin_fetches;
-    }
     obs_.origin_fetches.inc();
     insert_document(*req);
-    send_response(s, r, HttpLiteStatus::miss, body);
-    finish_request(HttpLiteStatus::miss, *req, started);
+    finish_request(s, r, HttpLiteStatus::miss, body, started);
     return r.keep_alive;
 }
 
@@ -1139,13 +1018,10 @@ MiniProxy::QueryOutcome MiniProxy::query_siblings(const HttpLiteRequest& req,
     for (const NodeId id : targets) {
         const auto sib = find_sibling(id);
         if (!sib) continue;
-        send_udp(sib->icp, payload);
+        udp_.send_to(sib->icp, payload);
         ++sent;
     }
-    {
-        const MutexLock lock(stats_mu_);
-        stats_.icp_queries_sent += sent;
-    }
+    obs_.icp_queries_sent.inc(sent);
     QueryOutcome outcome;
     if (sent == 0) return outcome;
 
@@ -1164,12 +1040,7 @@ MiniProxy::QueryOutcome MiniProxy::query_siblings(const HttpLiteRequest& req,
             continue;  // cannot happen: the loop validated before routing
         }
         ++replies;
-        {
-            const MutexLock lock(stats_mu_);
-            ++stats_.icp_replies_received;
-            if (header.opcode == IcpOpcode::miss && uses_summaries(config_.mode))
-                ++stats_.false_hit_queries;
-        }
+        obs_.icp_replies_received.inc();
         if (header.opcode == IcpOpcode::miss && uses_summaries(config_.mode)) {
             obs_.false_hit_queries.inc();
             obs::trace(obs::TraceEventType::false_positive_probe,
@@ -1201,10 +1072,6 @@ MiniProxy::QueryOutcome MiniProxy::query_siblings(const HttpLiteRequest& req,
 }
 
 SC_EVENT_LOOP_ONLY void MiniProxy::handle_datagram(const Datagram& dgram) {
-    {
-        const MutexLock lock(stats_mu_);
-        stats_.udp_bytes_received += dgram.payload.size();
-    }
     IcpHeader header;
     try {
         header = decode_header(dgram.payload);
@@ -1241,11 +1108,9 @@ SC_EVENT_LOOP_ONLY void MiniProxy::handle_datagram_body(const Datagram& dgram, c
             try {
                 const IcpDirUpdate update = decode_dirupdate(dgram.payload);
                 // Replica ingestion is internally synchronized — no node_mu_.
+                // Counted as sc_node_updates_applied_total when applied.
                 const auto result = node_.apply_sibling_update(update);
-                if (result == SummaryApplyResult::applied) {
-                    const MutexLock lock(stats_mu_);
-                    ++stats_.updates_received;
-                } else if (summary_apply_needs_resync(result)) {
+                if (summary_apply_needs_resync(result)) {
                     // Gap, unknown sender boot, or quarantined stream: the
                     // replica cannot be trusted until a full bitmap lands.
                     // Ask for one (rate-limited; the run()-loop sweep
@@ -1264,13 +1129,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::handle_datagram_body(const Datagram& dgram, c
             } catch (const WireError&) {
                 break;
             }
-            {
-                const MutexLock lock(stats_mu_);
-                if (resync.subject_id != 0)
-                    ++stats_.introductions_received;
-                else
-                    ++stats_.resync_requests_received;
-            }
+            if (resync.subject_id == 0) obs_.resync_requests_received.inc();
             maybe_learn_sibling(resync.sender_host, dgram.from, resync.http_port);
             if (resync.subject_id != 0) {
                 // An introduction teaches us about a third peer; it asks
@@ -1287,15 +1146,12 @@ SC_EVENT_LOOP_ONLY void MiniProxy::handle_datagram_body(const Datagram& dgram, c
         }
         case IcpOpcode::secho: {
             // Liveness probe: echo back so the sender keeps us alive.
-            {
-                const MutexLock lock(stats_mu_);
-                ++stats_.keepalives_received;
-            }
+            obs_.keepalives_received.inc();
             IcpReply echo;
             echo.opcode = IcpOpcode::decho;
             echo.request_number = header.request_number;
             echo.sender_host = config_.id;
-            send_udp(dgram.from, encode_reply(echo));
+            udp_.send_to(dgram.from, encode_reply(echo));
             break;
         }
         case IcpOpcode::decho:
@@ -1312,10 +1168,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::answer_query(const Datagram& dgram) {
     } catch (const WireError&) {
         return;
     }
-    {
-        const MutexLock lock(stats_mu_);
-        ++stats_.icp_queries_received;
-    }
+    obs_.icp_queries_received.inc();
 
     // Small cached documents ride back inline (ICP_OP_HIT_OBJ).
     if (config_.hit_obj_max_bytes > 0) {
@@ -1330,10 +1183,9 @@ SC_EVENT_LOOP_ONLY void MiniProxy::answer_query(const Datagram& dgram) {
             obj.url = query.url;
             const std::string body = synth_body(entry->size);
             obj.object.assign(body.begin(), body.end());
-            send_udp(dgram.from, encode_hit_obj(obj));
-            const MutexLock lock(stats_mu_);
-            ++stats_.icp_replies_sent;
-            ++stats_.hit_obj_served;
+            obs_.icp_replies_sent.inc();
+            obs_.hit_obj_served.inc();
+            udp_.send_to(dgram.from, encode_hit_obj(obj));
             return;
         }
     }
@@ -1343,9 +1195,8 @@ SC_EVENT_LOOP_ONLY void MiniProxy::answer_query(const Datagram& dgram) {
     reply.request_number = query.request_number;
     reply.sender_host = config_.id;
     reply.url = query.url;
-    send_udp(dgram.from, encode_reply(reply));
-    const MutexLock lock(stats_mu_);
-    ++stats_.icp_replies_sent;
+    obs_.icp_replies_sent.inc();
+    udp_.send_to(dgram.from, encode_reply(reply));
 }
 
 std::optional<std::string> MiniProxy::fetch_from_sibling(NodeId id, const HttpLiteRequest& req) {
@@ -1363,10 +1214,7 @@ std::optional<std::string> MiniProxy::fetch_from_sibling(NodeId id, const HttpLi
         if (!header || header->status != HttpLiteStatus::local_hit) return std::nullopt;
         std::string body;
         conn.read_exact(header->size, body);
-        {
-            const MutexLock lock(stats_mu_);
-            ++stats_.sibling_fetches;
-        }
+        obs_.sibling_fetches.inc();
         return body;
     } catch (const std::exception&) {
         return std::nullopt;  // timeout or connection failure: fall to origin
@@ -1400,7 +1248,7 @@ void MiniProxy::insert_document(const HttpLiteRequest& req) {
     obs_.cached_documents.set(static_cast<double>(cache_.document_count()));
     obs_.cached_bytes.set(static_cast<double>(cache_.used_bytes()));
     if (config_.mode == ShareMode::summary) broadcast_updates();
-    // digest_pull: siblings fetch the whole digest on their own schedule.
+    // digest_pull: siblings pull the whole digest on their own schedule.
 }
 
 void MiniProxy::broadcast_updates() {
@@ -1415,12 +1263,10 @@ void MiniProxy::broadcast_updates() {
         sync_node_locked();
         const auto msgs = node_.encode_pending_updates();
         for (const auto& msg : msgs)
-            for (const auto& s : *sibs) send_udp(s->icp, msg);
+            for (const auto& s : *sibs) udp_.send_to(s->icp, msg);
         return msgs.size() * sibs->size();
     });
-    if (!flushed || flushed->first == 0) return;
-    const MutexLock lock(stats_mu_);
-    stats_.updates_sent += flushed->first;
+    if (flushed) obs_.updates_sent.inc(flushed->first);
 }
 
 }  // namespace sc

@@ -8,8 +8,9 @@
 //   * icp         — multicast an ICP query to every sibling on every miss,
 //   * summary     — probe replicated summaries first, query only promising
 //                   siblings (the SC-ICP protocol, pushed delta updates),
-//   * digest_pull — the Squid Cache Digest variant: periodically fetch
-//                   each sibling's full digest over TCP instead.
+//   * digest_pull — the Squid Cache Digest variant: pull each sibling's
+//                   full digest instead, as a periodic DIRREQ answered by
+//                   the same chunked DIRFULL that repairs a push stream.
 //
 // Threading model (docs/PROTOCOL.md "Threading model"): one event-loop
 // thread owns the listener, the UDP socket, and every idle client
@@ -57,7 +58,6 @@
 #include <vector>
 
 #include "cache/lru_cache.hpp"
-#include "core/peer_directory.hpp"
 #include "core/protocol_engine.hpp"
 #include "core/summary_cache_node.hpp"
 #include "icp/reply_demux.hpp"
@@ -76,8 +76,8 @@ enum class ShareMode {
     none,         ///< no cooperation
     icp,          ///< multicast query on every miss
     summary,      ///< SC-ICP: pushed delta updates, probe before querying
-    digest_pull,  ///< Squid Cache Digest variant: periodically FETCH each
-                  ///< sibling's full digest over TCP; no pushed updates
+    digest_pull,  ///< Squid Cache Digest variant: DIRREQ every live sibling
+                  ///< each keepalive tick for its full bitmap; no pushed updates
 };
 
 [[nodiscard]] const char* share_mode_name(ShareMode m);
@@ -124,13 +124,12 @@ struct MiniProxyConfig {
     /// documents up to this size; 0 disables the optimization.
     std::uint64_t hit_obj_max_bytes = 0;
 
-    /// digest_pull mode: how often to re-fetch each sibling's digest.
-    std::chrono::milliseconds digest_refresh{1000};
-
     /// Summary-mode resilience: minimum spacing between DIRREQ resync
     /// requests sent to one peer, and between full-bitmap answers served
     /// to one peer (a lost answer is re-requested at this cadence; the cap
     /// keeps a flapping peer from turning resync into a bitmap flood).
+    /// digest_pull pulls on the keepalive tick, so its period is
+    /// max(keepalive_interval, resync_interval).
     std::chrono::milliseconds resync_interval{250};
 
     /// Learn unknown peers at runtime (summary mode): a SECHO or DIRREQ
@@ -183,52 +182,6 @@ struct MiniProxyConfig {
     std::uint32_t max_requests_per_connection = 0;
 };
 
-struct MiniProxyStats {
-    std::uint64_t requests = 0;
-    std::uint64_t local_hits = 0;
-    std::uint64_t remote_hits = 0;
-    std::uint64_t origin_fetches = 0;
-    std::uint64_t false_hit_queries = 0;  ///< sibling replied MISS after summary said hit
-    std::uint64_t icp_queries_sent = 0;
-    std::uint64_t icp_queries_received = 0;
-    std::uint64_t icp_replies_sent = 0;
-    std::uint64_t icp_replies_received = 0;
-    std::uint64_t icp_stale_replies = 0;  ///< replies for unknown/expired query rounds
-    std::uint64_t updates_sent = 0;      ///< update datagrams sent (all siblings)
-    std::uint64_t updates_received = 0;
-    std::uint64_t sibling_fetches = 0;
-    std::uint64_t udp_bytes_sent = 0;
-    std::uint64_t udp_bytes_received = 0;
-    std::uint64_t keepalives_sent = 0;
-    std::uint64_t keepalives_received = 0;
-    std::uint64_t sibling_death_events = 0;
-    std::uint64_t sibling_recovery_events = 0;
-    std::uint64_t hit_obj_served = 0;  ///< HIT_OBJ replies sent
-    std::uint64_t hit_obj_used = 0;    ///< remote hits satisfied inline
-    std::uint64_t digests_fetched = 0; ///< digest_pull: digests pulled
-    std::uint64_t digests_served = 0;  ///< DGET requests answered
-    std::uint64_t digests_oversized = 0;   ///< DGET responses rejected by the size cap
-    std::uint64_t resync_requests_sent = 0;      ///< DIRREQs we sent
-    std::uint64_t resync_requests_received = 0;  ///< DIRREQs peers sent us
-    /// Full-bitmap datagrams sent for bootstrap / resync / recovery
-    /// (unicast repair traffic — deliberately NOT counted in updates_sent,
-    /// which tallies the broadcast update stream the simulators model).
-    std::uint64_t resync_fulls_sent = 0;
-    std::uint64_t siblings_joined = 0;  ///< peers learned at runtime
-    std::uint64_t introductions_sent = 0;      ///< membership-exchange DIRREQs sent
-    std::uint64_t introductions_received = 0;  ///< third-party introductions heard
-    std::uint64_t seq_heartbeats_sent = 0;     ///< empty-delta sequence advertisements
-    std::uint64_t keepalive_reuses = 0;  ///< requests beyond the first on a connection
-    std::uint64_t idle_closes = 0;       ///< sessions reaped by the idle sweep
-    std::uint64_t loop_wakeups = 0;      ///< event-loop wait() returns (busy-wake probe)
-};
-
-/// Largest DGET digest body we will read from a sibling: the wire-capped
-/// bitmap (kMaxWireTableBits bits) plus chunk framing, rounded up. A
-/// misbehaving peer advertising a bigger body is rejected and counted
-/// (digests_oversized) instead of triggering an unbounded allocation.
-inline constexpr std::uint64_t kMaxDigestBytes = 9ull * 1024 * 1024;
-
 class MiniProxy {
 public:
     explicit MiniProxy(MiniProxyConfig config);
@@ -259,7 +212,8 @@ public:
     /// or recovery, Section VI-B). Only meaningful in summary mode.
     void broadcast_full_summary();
 
-    [[nodiscard]] MiniProxyStats stats() const SC_EXCLUDES(stats_mu_);
+    // Counts: read the obs registry, labelled {node, mode}
+    // (docs/OBSERVABILITY.md).
     [[nodiscard]] std::size_t cached_documents() const;
     [[nodiscard]] std::uint64_t cached_bytes() const;
     /// Directory entries replayed from the disk log at construction
@@ -302,7 +256,7 @@ private:
     };
 
     /// Immutable sibling-table snapshot, published RCU-style: readers
-    /// (workers picking targets, the digest fetcher, the event loop)
+    /// (workers picking targets and pushing bitmaps, the event loop)
     /// grab the shared_ptr atomically and iterate without a lock;
     /// membership changes copy the vector under membership_mu_ and
     /// swap the pointer. Entries are shared_ptr so per-entry atomics
@@ -396,8 +350,6 @@ private:
 
     void send_keepalives_and_check_liveness();
     void note_heard_from(NodeId sender);
-    void digest_fetch_loop();
-    void refresh_digests_once();
 
     // --- summary-mesh resilience (event-loop-only unless noted) --------
     /// Current sibling-table snapshot (any thread).
@@ -407,7 +359,8 @@ private:
     /// Entry for `id` in the current snapshot, or nullptr.
     [[nodiscard]] std::shared_ptr<Sibling> find_sibling(NodeId id) const;
     /// Send this peer a DIRREQ asking for its full bitmap, rate-limited
-    /// by resync_interval. Event loop only.
+    /// by resync_interval: a resync in summary mode, a pull in
+    /// digest_pull mode. Event loop only.
     void request_resync(Sibling& sib);
     /// Answer a peer's DIRREQ: rate-limit, then hand the full-bitmap
     /// push to a worker. Event loop only.
@@ -428,6 +381,11 @@ private:
     /// stream detects the gap and resyncs. Worker-only (takes node_mu_);
     /// enqueued from the keepalive tick in summary mode.
     void broadcast_seq_heartbeat();
+    /// digest_pull: nobody consumes our deltas, so drain the journal into
+    /// the counting filter (what a pull serves) and drop the delta log,
+    /// keeping both bounded even when no sibling pulls. Worker-only (takes
+    /// node_mu_); enqueued from the keepalive tick.
+    void discard_unsent_deltas();
     /// Queue a closure for the worker pool (drained before request jobs).
     void enqueue_task(std::function<void()> task);
 
@@ -436,13 +394,14 @@ private:
     [[nodiscard]] std::string fetch_from_origin(const HttpLiteRequest& req, WorkerCtx& ctx);
     void insert_document(const HttpLiteRequest& req);
     void broadcast_updates();
-    void send_udp(const Endpoint& to, std::span<const std::uint8_t> payload);
     void log_access(HttpLiteStatus status, const HttpLiteRequest& req,
                     std::chrono::steady_clock::time_point started);
-    /// Single exit point for a client GET: observes latency, bumps the
-    /// hit/miss counters, and writes the access-log line — all from the
-    /// same status, so the log and /__metrics always agree.
-    void finish_request(HttpLiteStatus status, const HttpLiteRequest& req,
+    /// Single exit point for a client GET: bumps the hit/miss counters
+    /// (before the reply, so a client that has read it sees it counted),
+    /// writes the reply, then observes latency and writes the access-log
+    /// line — all from the same status, so the log and /__metrics agree.
+    void finish_request(Session& s, const SessionRequest& r, HttpLiteStatus status,
+                        std::string_view body,
                         std::chrono::steady_clock::time_point started);
 
     MiniProxyConfig config_;
@@ -457,12 +416,11 @@ private:
     /// read path (contains / entry_copy), never a disk-touching call.
     store::TieredCacheStore cache_;
     /// Guards node_'s LOCAL side (the counting filter and update
-    /// encoding): workers, the event loop, and (in digest_pull mode) the
-    /// digest fetcher thread all touch that state. Sibling-replica writes
-    /// (`apply_sibling_update` / `forget_sibling`) and reads
-    /// (`promising_peers` on the request path) are internally synchronized
-    /// by the node's RCU snapshots and need no node_mu_. The cache hooks
-    /// never take this lock — they only append to the engine's
+    /// encoding): workers and the event loop both touch that state.
+    /// Sibling-replica writes (`apply_sibling_update` / `forget_sibling`)
+    /// and reads (`promising_peers` on the request path) are internally
+    /// synchronized by the node's RCU snapshots and need no node_mu_. The
+    /// cache hooks never take this lock — they only append to the engine's
     /// DeltaBatcher journal (a leaf lock), and sync_node_locked() later
     /// mirrors the journal into node_ under node_mu_, outside the cache
     /// shard mutexes — so node_mu_ and the shard mutexes are unordered
@@ -471,17 +429,10 @@ private:
     /// sequence number and is sent under one hold of node_mu_, so
     /// sequence numbers leave this proxy in order.
     mutable Mutex node_mu_;
+    /// Also the engine's core::PeerDirectory: the replica probe is
+    /// lock-free (the node publishes immutable snapshots RCU-style), so
+    /// the request path consults it without touching node_mu_ at all.
     SummaryCacheNode node_;
-    /// core::PeerDirectory over node_: the replica probe is lock-free
-    /// (the node publishes immutable snapshots RCU-style), so the request
-    /// path consults it without touching node_mu_ at all.
-    struct NodeProbe final : core::PeerDirectory {
-        explicit NodeProbe(const MiniProxy& p) : proxy(p) {}
-        [[nodiscard]] std::vector<std::uint32_t> promising_peers(
-            std::string_view url) const override;
-        const MiniProxy& proxy;
-    };
-    NodeProbe node_probe_;
     /// The shared decision pipeline (same object the simulators drive).
     /// Its DeltaBatcher elects one flusher per threshold crossing, so
     /// concurrent workers' inserts coalesce into a single update batch.
@@ -521,7 +472,17 @@ private:
     /// head-of-line blocked behind slow fetches.
     std::deque<std::function<void()>> task_queue_ SC_GUARDED_BY(jobs_mu_);
     std::vector<Completion> completions_ SC_GUARDED_BY(jobs_mu_);
-    int wake_pipe_[2] = {-1, -1};  ///< workers wake the poll loop
+    /// Workers wake the event loop through this pipe. It owns its fds, so
+    /// a constructor that throws after creating it still closes them.
+    struct WakePipe {
+        WakePipe();
+        ~WakePipe();
+        WakePipe(const WakePipe&) = delete;
+        WakePipe& operator=(const WakePipe&) = delete;
+        int read_fd = -1;
+        int write_fd = -1;
+    };
+    WakePipe wake_pipe_;
 
     /// All sessions, keyed by a monotonically assigned id. Touched only
     /// by the event loop thread (workers reach a session exclusively
@@ -536,24 +497,23 @@ private:
     std::unique_ptr<net::EventBackend> backend_;
     net::EventBackendKind backend_kind_;
     std::chrono::steady_clock::time_point next_idle_sweep_{};
-    std::atomic<std::uint64_t> loop_wakeups_{0};
 
     std::thread loop_;
     std::vector<std::thread> workers_;
-    std::thread digest_thread_;  ///< digest_pull mode only
     std::atomic<bool> stopping_{false};
     std::atomic<bool> started_{false};
 
-    mutable Mutex stats_mu_;
-    MiniProxyStats stats_ SC_GUARDED_BY(stats_mu_);
     Mutex access_log_mu_;  ///< workers share the access log stream
     /// The pointer is set once in the constructor (pre-thread); the
     /// STREAM it points at is what workers share, hence PT_GUARDED_BY.
     std::unique_ptr<std::ofstream> access_log_ SC_PT_GUARDED_BY(access_log_mu_);
 
-    // sc::obs instrumentation, labeled {node, mode}. The hit/miss pair is
-    // incremented exactly where the access log line is written, so
-    // `GET /__metrics` and the log can never disagree.
+    // sc::obs instrumentation, labeled {node, mode}: the proxy's only
+    // counts. The hit/miss pair is incremented by the same finish_request
+    // call that writes the access log line, so `GET /__metrics` and the
+    // log can never disagree. Every count is bumped before the reply or
+    // datagram that could reveal it is written, so a client or peer that
+    // has seen the effect also sees it counted.
     struct Instruments {
         obs::Counter requests;
         obs::Counter cache_hits;
@@ -570,6 +530,25 @@ private:
         obs::Gauge write_buffer_bytes;   ///< response bytes awaiting POLLOUT
         obs::Gauge open_sessions;        ///< accepted client connections alive
         obs::Counter keepalive_reuses;   ///< requests beyond a connection's first
+        obs::Counter icp_queries_sent;
+        obs::Counter icp_queries_received;
+        obs::Counter icp_replies_sent;
+        obs::Counter icp_replies_received;
+        /// Broadcast update datagrams (one per sibling per datagram).
+        /// Unicast bitmaps count in resync_fulls_sent instead.
+        obs::Counter updates_sent;
+        obs::Counter sibling_fetches;
+        obs::Counter keepalives_sent;
+        obs::Counter keepalives_received;
+        obs::Counter sibling_death_events;
+        obs::Counter sibling_recovery_events;
+        obs::Counter hit_obj_served;     ///< HIT_OBJ replies sent
+        obs::Counter hit_obj_used;       ///< remote hits satisfied inline
+        obs::Counter resync_requests_sent;
+        obs::Counter resync_requests_received;
+        obs::Counter resync_fulls_sent;  ///< unicast full-bitmap datagrams
+        obs::Counter siblings_joined;    ///< peers added while running
+        obs::Counter idle_closes;
     };
     Instruments obs_;
 };

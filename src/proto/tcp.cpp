@@ -22,7 +22,7 @@ namespace {
 
 struct TcpMetrics {
     obs::Counter accepts = obs::metrics().counter(
-        "sc_tcp_accepts_total", "Connections accepted (clients, SGET/DGET peers)");
+        "sc_tcp_accepts_total", "Connections accepted (clients and SGET peers)");
     obs::Counter connects = obs::metrics().counter(
         "sc_tcp_connects_total", "Outbound connections established (origin, siblings)");
     obs::Counter bytes_written =

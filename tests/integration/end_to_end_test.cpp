@@ -14,6 +14,7 @@
 #include "proto/origin_server.hpp"
 #include "proto/replay_client.hpp"
 #include "sim/share_sim.hpp"
+#include "support/metric_delta.hpp"
 #include "trace/generator.hpp"
 
 namespace sc {
@@ -36,6 +37,7 @@ std::vector<Request> tiny_workload(std::uint32_t clients, std::size_t requests) 
 struct Testbed {
     std::unique_ptr<OriginServer> origin;
     std::vector<std::unique_ptr<MiniProxy>> proxies;
+    test::MetricDelta counts;  ///< baseline: the proxies just constructed
 
     Testbed(std::size_t n, ShareMode mode, double threshold) {
         origin = std::make_unique<OriginServer>(OriginServer::Config{});
@@ -48,10 +50,18 @@ struct Testbed {
             cfg.update_threshold = threshold;
             proxies.push_back(std::make_unique<MiniProxy>(cfg));
         }
+        counts = test::MetricDelta();
         for (auto& p : proxies)
             for (auto& q : proxies)
                 if (p != q) p->add_sibling(q->id(), q->icp_endpoint(), q->http_endpoint());
         for (auto& p : proxies) p->start();
+    }
+
+    /// Growth of `name` summed over the testbed's proxies.
+    [[nodiscard]] std::uint64_t total(std::string_view name) const {
+        std::uint64_t sum = 0;
+        for (const auto& p : proxies) sum += counts(name, p->id());
+        return sum;
     }
 
     ~Testbed() {
@@ -114,13 +124,13 @@ TEST(EndToEnd, IcpAndSummaryAgreeOnHitsButNotOnTraffic) {
         Testbed bed(4, ShareMode::icp, 0.0);
         const auto stats = replay_trace(trace, bed.http_endpoints());
         icp_hits = stats.total_hit_ratio();
-        for (const auto& p : bed.proxies) icp_queries += p->stats().icp_queries_sent;
+        icp_queries = bed.total("sc_proxy_icp_queries_sent_total");
     }
     {
         Testbed bed(4, ShareMode::summary, 0.0);
         const auto stats = replay_trace(trace, bed.http_endpoints());
         sum_hits = stats.total_hit_ratio();
-        for (const auto& p : bed.proxies) sum_queries += p->stats().icp_queries_sent;
+        sum_queries = bed.total("sc_proxy_icp_queries_sent_total");
     }
     EXPECT_NEAR(sum_hits, icp_hits, 0.05);
     EXPECT_LT(sum_queries, icp_queries / 3);  // the headline economy, live on sockets
@@ -163,6 +173,7 @@ TEST(EndToEnd, FalseHitsAreWastedQueriesNotWrongAnswers) {
         cfg.bloom.load_factor = 1;  // absurdly dense: lots of false positives
         proxies.push_back(std::make_unique<MiniProxy>(cfg));
     }
+    const test::MetricDelta counts;
     for (auto& p : proxies)
         for (auto& q : proxies)
             if (p != q) p->add_sibling(q->id(), q->icp_endpoint(), q->http_endpoint());
@@ -174,7 +185,7 @@ TEST(EndToEnd, FalseHitsAreWastedQueriesNotWrongAnswers) {
     const auto stats = replay_trace(trace, eps);
     EXPECT_EQ(stats.errors, 0u);
     std::uint64_t false_hits = 0;
-    for (const auto& p : proxies) false_hits += p->stats().false_hit_queries;
+    for (const auto& p : proxies) false_hits += counts("sc_proxy_false_hit_queries_total", p->id());
     EXPECT_GT(false_hits, 0u);  // the dense filter must have lied sometimes
     for (auto& p : proxies) p->stop();
     origin->stop();

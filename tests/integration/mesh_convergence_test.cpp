@@ -18,6 +18,7 @@
 
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
+#include "support/metric_delta.hpp"
 
 namespace sc {
 namespace {
@@ -52,7 +53,7 @@ MiniProxyConfig mesh_cfg(NodeId id, Endpoint origin) {
 
 HttpLiteStatus get(MiniProxy& p, const std::string& url) {
     TcpConnection c = TcpConnection::connect(p.http_endpoint());
-    c.write_all(format_request({false, false, url, 0, 100}));
+    c.write_all(format_request({false, url, 0, 100}));
     const auto header = parse_response_header(*c.read_line());
     EXPECT_TRUE(header.has_value());
     c.discard_exact(header->size);
@@ -72,6 +73,7 @@ TEST(MeshConvergence, LossyMeshWithRestartAndLateJoinerConverges) {
     std::vector<std::unique_ptr<MiniProxy>> mesh;
     for (NodeId id = 1; id <= 3; ++id)
         mesh.push_back(std::make_unique<MiniProxy>(mesh_cfg(id, origin.endpoint())));
+    const test::MetricDelta counts;  // for nodes 1 and 3, and 4 (not built yet)
     for (auto& p : mesh)
         for (auto& q : mesh)
             if (p != q) p->add_sibling(q->id(), q->icp_endpoint(), q->http_endpoint());
@@ -91,6 +93,7 @@ TEST(MeshConvergence, LossyMeshWithRestartAndLateJoinerConverges) {
     cfg2.icp_port = icp2;
     cfg2.http_port = http2;
     mesh[1] = std::make_unique<MiniProxy>(cfg2);
+    const test::MetricDelta restarted_counts;  // node 2's second incarnation
     mesh[1]->add_sibling(1, mesh[0]->icp_endpoint(), mesh[0]->http_endpoint());
     mesh[1]->add_sibling(3, mesh[2]->icp_endpoint(), mesh[2]->http_endpoint());
     mesh[1]->start();
@@ -144,8 +147,10 @@ TEST(MeshConvergence, LossyMeshWithRestartAndLateJoinerConverges) {
     EXPECT_TRUE(remote_hit);
 
     // The fault injector really was in play.
-    std::uint64_t resyncs = 0;
-    for (const auto& p : mesh) resyncs += p->stats().resync_requests_sent;
+    const char* const resync_requests = "sc_proxy_resync_requests_sent_total";
+    const std::uint64_t resyncs = counts(resync_requests, 1) + counts(resync_requests, 3) +
+                                  counts(resync_requests, 4) +
+                                  restarted_counts(resync_requests, 2);
     EXPECT_GE(resyncs, 1u);
 
     for (auto& p : mesh) p->stop();

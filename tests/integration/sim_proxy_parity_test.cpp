@@ -26,6 +26,7 @@
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
 #include "sim/share_sim.hpp"
+#include "support/metric_delta.hpp"
 #include "trace/generator.hpp"
 
 namespace sc {
@@ -33,19 +34,12 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::uint64_t total(const std::vector<std::unique_ptr<MiniProxy>>& proxies,
-                    std::uint64_t MiniProxyStats::*field) {
-    std::uint64_t sum = 0;
-    for (const auto& p : proxies) sum += p->stats().*field;
-    return sum;
-}
-
 /// Wait until every update datagram any proxy has sent was applied by its
-/// receiver (each datagram increments exactly one updates_received).
-[[nodiscard]] bool settle_updates(const std::vector<std::unique_ptr<MiniProxy>>& proxies) {
+/// receiver (each datagram is exactly one applied update). Only the
+/// federation runs, so process-wide growth is the federation's total.
+[[nodiscard]] bool settle_updates(const test::MetricDelta& counts) {
     const auto deadline = std::chrono::steady_clock::now() + 2s;
-    while (total(proxies, &MiniProxyStats::updates_received) <
-           total(proxies, &MiniProxyStats::updates_sent)) {
+    while (counts("sc_node_updates_applied_total") < counts("sc_proxy_updates_sent_total")) {
         if (std::chrono::steady_clock::now() > deadline) return false;
         std::this_thread::sleep_for(200us);
     }
@@ -93,6 +87,12 @@ void expect_live_tallies_match(const std::vector<Request>& trace, const ShareSim
         cfg.cache_shards = cache_shards;
         proxies.push_back(std::make_unique<MiniProxy>(cfg));
     }
+    const test::MetricDelta counts;
+    const auto total = [&](std::string_view name) {
+        std::uint64_t sum = 0;
+        for (const auto& p : proxies) sum += counts(name, p->id());
+        return sum;
+    };
     for (std::uint32_t i = 0; i < num_proxies; ++i)
         for (std::uint32_t j = 0; j < num_proxies; ++j)
             if (j != i)
@@ -106,25 +106,25 @@ void expect_live_tallies_match(const std::vector<Request>& trace, const ShareSim
 
     for (const Request& r : trace) {
         const std::uint32_t home = r.client_id % num_proxies;  // the simulator's mapping
-        conns[home].write_all(format_request({false, false, r.url, r.version, r.size}));
+        conns[home].write_all(format_request({false, r.url, r.version, r.size}));
         const auto line = conns[home].read_line();
         ASSERT_TRUE(line.has_value());
         const auto header = parse_response_header(*line);
         ASSERT_TRUE(header.has_value());
         conns[home].discard_exact(header->size);
-        ASSERT_TRUE(settle_updates(proxies)) << "update datagram lost or unapplied";
+        ASSERT_TRUE(settle_updates(counts)) << "update datagram lost or unapplied";
     }
 
     // --- the tallies must agree exactly -----------------------------------
-    EXPECT_EQ(total(proxies, &MiniProxyStats::requests), sim.requests);
-    EXPECT_EQ(total(proxies, &MiniProxyStats::local_hits), sim.local_hits);
-    EXPECT_EQ(total(proxies, &MiniProxyStats::remote_hits), sim.remote_hits);
-    EXPECT_EQ(total(proxies, &MiniProxyStats::origin_fetches), sim.server_fetches);
-    EXPECT_EQ(total(proxies, &MiniProxyStats::icp_queries_sent), sim.query_messages);
+    EXPECT_EQ(total("sc_proxy_requests_total"), sim.requests);
+    EXPECT_EQ(total("sc_cache_hits_total"), sim.local_hits);
+    EXPECT_EQ(total("sc_proxy_remote_hits_total"), sim.remote_hits);
+    EXPECT_EQ(total("sc_proxy_origin_fetches_total"), sim.server_fetches);
+    EXPECT_EQ(total("sc_proxy_icp_queries_sent_total"), sim.query_messages);
     // The false-hit tally: every query a summary provoked that the sibling
     // answered MISS (the per-request sim.false_hits is derived from these).
-    EXPECT_EQ(total(proxies, &MiniProxyStats::false_hit_queries), sim.wasted_queries);
-    EXPECT_EQ(total(proxies, &MiniProxyStats::updates_sent), sim.update_messages);
+    EXPECT_EQ(total("sc_proxy_false_hit_queries_total"), sim.wasted_queries);
+    EXPECT_EQ(total("sc_proxy_updates_sent_total"), sim.update_messages);
     EXPECT_EQ(origin.requests_served(), sim.server_fetches);
 
     conns.clear();

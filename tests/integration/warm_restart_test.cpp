@@ -9,16 +9,15 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
 #include "proto/replay_client.hpp"
 #include "store/segment_log.hpp"
+#include "support/metric_delta.hpp"
 #include "trace/request.hpp"
 
 namespace sc {
@@ -56,16 +55,6 @@ MiniProxyConfig proxy_config(NodeId id, const Endpoint& origin, const std::strin
 void wire(MiniProxy& a, MiniProxy& b) {
     a.add_sibling(b.id(), b.icp_endpoint(), b.http_endpoint());
     b.add_sibling(a.id(), a.icp_endpoint(), a.http_endpoint());
-}
-
-[[nodiscard]] bool wait_for(const std::function<bool()>& pred,
-                            std::chrono::milliseconds deadline = 5s) {
-    const auto until = std::chrono::steady_clock::now() + deadline;
-    while (std::chrono::steady_clock::now() < until) {
-        if (pred()) return true;
-        std::this_thread::sleep_for(10ms);
-    }
-    return pred();
 }
 
 class WarmRestartTest : public ::testing::Test {
@@ -112,6 +101,7 @@ TEST_F(WarmRestartTest, KillAndRestartRebuildsDirectoryAndSummary) {
     // sibling that has never heard an update from the old incarnation.
     auto a2 = std::make_unique<MiniProxy>(proxy_config(1, origin.endpoint(), dir_.string()));
     auto b2 = std::make_unique<MiniProxy>(proxy_config(2, origin.endpoint(), ""));
+    const test::MetricDelta b2_counts;  // phase-1 B's applied updates are not B's
     EXPECT_EQ(a2->recovered_documents(), kDocs);
     EXPECT_EQ(a2->cached_documents(), pre_kill_docs);
     EXPECT_EQ(a2->cached_bytes(), pre_kill_bytes);
@@ -127,7 +117,8 @@ TEST_F(WarmRestartTest, KillAndRestartRebuildsDirectoryAndSummary) {
     // The rebuilt counting filter is the node's advertised summary:
     // broadcast it and the fresh sibling must predict every recovered URL.
     a2->broadcast_full_summary();
-    ASSERT_TRUE(wait_for([&] { return b2->stats().updates_received > 0; }))
+    ASSERT_TRUE(
+        test::eventually([&] { return b2_counts("sc_node_updates_applied_total", 2) > 0; }))
         << "B' never received the recovered summary";
     const auto remote = replay_trace(trace, {b2->http_endpoint()});
     EXPECT_EQ(remote.errors, 0u);

@@ -38,7 +38,7 @@ TEST(AccessLog, OneLinePerRequestWithStatusAndUrl) {
 
     const auto get = [&](const std::string& url) {
         TcpConnection c = TcpConnection::connect(p->http_endpoint());
-        c.write_all(format_request({false, false, url, 0, 123}));
+        c.write_all(format_request({false, url, 0, 123}));
         const auto header = parse_response_header(*c.read_line());
         c.discard_exact(header->size);
         return header->status;

@@ -24,6 +24,7 @@
 #include "proto/http_session.hpp"
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
+#include "support/metric_delta.hpp"
 
 namespace sc {
 namespace {
@@ -39,7 +40,7 @@ std::vector<net::EventBackendKind> kinds_under_test() {
 }
 
 std::string lite_get(const std::string& url, std::uint64_t size) {
-    return format_request({false, false, url, 0, size});
+    return format_request({false, url, 0, size});
 }
 
 /// Read one lite response (header line + exact body).
@@ -99,6 +100,7 @@ protected:
 
 TEST_P(KeepAliveTest, PipelinedLiteRequestsAnswerInArrivalOrder) {
     MiniProxy proxy(base_config());
+    const test::MetricDelta counts;
     proxy.start();
     TcpConnection conn = TcpConnection::connect(proxy.http_endpoint());
     // One write, three requests: responses must come back in arrival order
@@ -111,7 +113,7 @@ TEST_P(KeepAliveTest, PipelinedLiteRequestsAnswerInArrivalOrder) {
         EXPECT_EQ(status, HttpLiteStatus::miss);
         EXPECT_EQ(body.size(), expected);
     }
-    EXPECT_EQ(proxy.stats().keepalive_reuses, 2u);
+    EXPECT_EQ(counts("sc_proxy_keepalive_reuses_total", 1), 2u);
     proxy.stop();
 }
 
@@ -141,6 +143,7 @@ TEST_P(KeepAliveTest, LiteGarbageGetsErrorAndTheConnectionSurvives) {
 
 TEST_P(KeepAliveTest, HttpRequestsPersistAndNegotiateConnection) {
     MiniProxy proxy(base_config());
+    const test::MetricDelta counts;
     proxy.start();
     TcpConnection conn = TcpConnection::connect(proxy.http_endpoint());
 
@@ -157,7 +160,7 @@ TEST_P(KeepAliveTest, HttpRequestsPersistAndNegotiateConnection) {
     auto second = read_http(conn);
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->headers["x-sc-status"], "LOCAL_HIT");
-    EXPECT_EQ(proxy.stats().keepalive_reuses, 1u);
+    EXPECT_EQ(counts("sc_proxy_keepalive_reuses_total", 1), 1u);
     proxy.stop();
 }
 
@@ -210,6 +213,7 @@ TEST_P(KeepAliveTest, IdleSessionsAreReapedQuietly) {
     auto cfg = base_config();
     cfg.idle_timeout = 50ms;
     MiniProxy proxy(cfg);
+    const test::MetricDelta counts;
     proxy.start();
     TcpConnection conn = TcpConnection::connect(proxy.http_endpoint());
     conn.write_all(lite_get("http://host/then-idle", 8));
@@ -217,7 +221,7 @@ TEST_P(KeepAliveTest, IdleSessionsAreReapedQuietly) {
     // Park the connection past the timeout: the proxy must close it with
     // no response bytes (read_line sees clean EOF, not junk).
     EXPECT_FALSE(conn.read_line().has_value());
-    EXPECT_GE(proxy.stats().idle_closes, 1u);
+    EXPECT_GE(counts("sc_proxy_idle_closes_total", 1), 1u);
     proxy.stop();
 }
 
@@ -225,6 +229,7 @@ TEST_P(KeepAliveTest, IdleTimeoutZeroNeverReaps) {
     auto cfg = base_config();
     cfg.idle_timeout = 0ms;
     MiniProxy proxy(cfg);
+    const test::MetricDelta counts;
     proxy.start();
     TcpConnection conn = TcpConnection::connect(proxy.http_endpoint());
     conn.write_all(lite_get("http://host/immortal", 8));
@@ -232,7 +237,7 @@ TEST_P(KeepAliveTest, IdleTimeoutZeroNeverReaps) {
     std::this_thread::sleep_for(120ms);
     conn.write_all(lite_get("http://host/immortal", 8));
     EXPECT_EQ(read_lite(conn).first, HttpLiteStatus::local_hit);
-    EXPECT_EQ(proxy.stats().idle_closes, 0u);
+    EXPECT_EQ(counts("sc_proxy_idle_closes_total", 1), 0u);
     proxy.stop();
 }
 

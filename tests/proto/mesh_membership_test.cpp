@@ -7,7 +7,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/summary_cache_node.hpp"
@@ -15,6 +14,7 @@
 #include "icp/udp_socket.hpp"
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
+#include "support/metric_delta.hpp"
 
 namespace sc {
 namespace {
@@ -35,27 +35,20 @@ MiniProxyConfig summary_cfg(NodeId id, Endpoint origin) {
 
 HttpLiteStatus get(MiniProxy& p, const std::string& url) {
     TcpConnection c = TcpConnection::connect(p.http_endpoint());
-    c.write_all(format_request({false, false, url, 0, 100}));
+    c.write_all(format_request({false, url, 0, 100}));
     const auto header = parse_response_header(*c.read_line());
     EXPECT_TRUE(header.has_value());
     c.discard_exact(header->size);
     return header->status;
 }
 
-bool eventually(const std::function<bool()>& pred,
-                std::chrono::milliseconds deadline = 3000ms) {
-    const auto until = std::chrono::steady_clock::now() + deadline;
-    while (std::chrono::steady_clock::now() < until) {
-        if (pred()) return true;
-        std::this_thread::sleep_for(20ms);
-    }
-    return pred();
-}
+bool eventually(const std::function<bool()>& pred) { return test::eventually(pred, 3s); }
 
 TEST(MeshMembership, RuntimeJoinConvergesWithoutRestart) {
     OriginServer origin({});
     auto a = std::make_unique<MiniProxy>(summary_cfg(1, origin.endpoint()));
     auto b = std::make_unique<MiniProxy>(summary_cfg(2, origin.endpoint()));
+    const test::MetricDelta counts;
     a->start();
     b->start();
     EXPECT_EQ(get(*a, "http://joined/doc"), HttpLiteStatus::miss);
@@ -66,7 +59,7 @@ TEST(MeshMembership, RuntimeJoinConvergesWithoutRestart) {
     a->add_sibling(2, b->icp_endpoint(), b->http_endpoint());
     EXPECT_TRUE(eventually([&] {
         return b->sibling_replica_predicts(1, "http://joined/doc") &&
-               a->synced_replicas() >= 1 && b->stats().siblings_joined >= 1;
+               a->synced_replicas() >= 1 && counts("sc_proxy_siblings_joined_total", 2) >= 1;
     }));
     // And the learned sibling is fully usable: b serves a remote hit
     // through a, which requires b to know a's HTTP endpoint.
@@ -79,6 +72,7 @@ TEST(MeshMembership, RuntimeJoinConvergesWithoutRestart) {
 TEST(MeshMembership, DirreqFromUnknownPeerIsLearnedAndServed) {
     OriginServer origin({});
     auto p = std::make_unique<MiniProxy>(summary_cfg(1, origin.endpoint()));
+    const test::MetricDelta counts;
     p->start();
     EXPECT_EQ(get(*p, "http://served/doc"), HttpLiteStatus::miss);
 
@@ -106,9 +100,9 @@ TEST(MeshMembership, DirreqFromUnknownPeerIsLearnedAndServed) {
     }
     ASSERT_TRUE(synced);
     EXPECT_TRUE(probe.sibling_may_contain(1, "http://served/doc"));
-    EXPECT_GE(p->stats().siblings_joined, 1u);
-    EXPECT_GE(p->stats().resync_requests_received, 1u);
-    EXPECT_GE(p->stats().resync_fulls_sent, 1u);
+    EXPECT_GE(counts("sc_proxy_siblings_joined_total", 1), 1u);
+    EXPECT_GE(counts("sc_proxy_resync_requests_received_total", 1), 1u);
+    EXPECT_GE(counts("sc_proxy_resync_fulls_sent_total", 1), 1u);
     p->stop();
     origin.stop();
 }
@@ -155,6 +149,7 @@ TEST(MeshMembership, DeadSiblingReplicaDroppedAndRebuiltOnRejoin) {
     cfg.keepalive_interval = 50ms;
     cfg.liveness_strikes = 3;
     auto p = std::make_unique<MiniProxy>(cfg);
+    const test::MetricDelta counts;
     UdpSocket fake;
     p->add_sibling(77, fake.local_endpoint(), Endpoint::loopback(1));
     p->start();
@@ -177,7 +172,8 @@ TEST(MeshMembership, DeadSiblingReplicaDroppedAndRebuiltOnRejoin) {
     ASSERT_TRUE(eventually([&] {
         while (fake.receive(0)) {  // drain probes; never answer
         }
-        return p->synced_replicas() == 0 && p->stats().sibling_death_events >= 1;
+        return p->synced_replicas() == 0 &&
+               counts("sc_proxy_sibling_death_events_total", 1) >= 1;
     }));
     EXPECT_FALSE(p->sibling_replica_predicts(77, "http://fake/doc"));
 
@@ -187,7 +183,7 @@ TEST(MeshMembership, DeadSiblingReplicaDroppedAndRebuiltOnRejoin) {
     EXPECT_TRUE(eventually([&] {
         return p->synced_replicas() == 1 &&
                p->sibling_replica_predicts(77, "http://fake/doc") &&
-               p->stats().sibling_recovery_events >= 1;
+               counts("sc_proxy_sibling_recovery_events_total", 1) >= 1;
     }));
     p->stop();
     origin.stop();

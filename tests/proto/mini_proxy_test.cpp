@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
-#include <thread>
+#include <stdexcept>
 
 #include "proto/origin_server.hpp"
+#include "support/metric_delta.hpp"
 
 namespace sc {
 namespace {
@@ -16,6 +18,7 @@ using namespace std::chrono_literals;
 struct Federation {
     std::unique_ptr<OriginServer> origin;
     std::vector<std::unique_ptr<MiniProxy>> proxies;
+    test::MetricDelta counts;  ///< baseline: the proxies just constructed
 
     explicit Federation(std::size_t n, ShareMode mode,
                         std::chrono::milliseconds origin_delay = 0ms) {
@@ -30,6 +33,7 @@ struct Federation {
             cfg.update_threshold = 0.0;  // publish every change (tests want immediacy)
             proxies.push_back(std::make_unique<MiniProxy>(cfg));
         }
+        counts = test::MetricDelta();
         for (auto& p : proxies)
             for (auto& q : proxies)
                 if (p != q) p->add_sibling(q->id(), q->icp_endpoint(), q->http_endpoint());
@@ -44,7 +48,7 @@ struct Federation {
     HttpLiteResponseHeader get(std::size_t proxy, const std::string& url,
                                std::uint64_t version = 0, std::uint64_t size = 100) {
         TcpConnection c = TcpConnection::connect(proxies[proxy]->http_endpoint());
-        c.write_all(format_request({false, false, url, version, size}));
+        c.write_all(format_request({false, url, version, size}));
         const auto line = c.read_line();
         if (!line) throw std::runtime_error("proxy closed connection");
         const auto header = parse_response_header(*line);
@@ -52,19 +56,15 @@ struct Federation {
         c.discard_exact(header->size);
         return *header;
     }
-
-    /// Give UDP updates time to land.
-    static void settle() { std::this_thread::sleep_for(120ms); }
 };
 
 TEST(MiniProxy, MissThenLocalHit) {
     Federation fed(1, ShareMode::none);
     EXPECT_EQ(fed.get(0, "http://a/1").status, HttpLiteStatus::miss);
     EXPECT_EQ(fed.get(0, "http://a/1").status, HttpLiteStatus::local_hit);
-    const auto stats = fed.proxies[0]->stats();
-    EXPECT_EQ(stats.requests, 2u);
-    EXPECT_EQ(stats.local_hits, 1u);
-    EXPECT_EQ(stats.origin_fetches, 1u);
+    EXPECT_EQ(fed.counts("sc_proxy_requests_total", 1), 2u);
+    EXPECT_EQ(fed.counts("sc_cache_hits_total", 1), 1u);
+    EXPECT_EQ(fed.counts("sc_proxy_origin_fetches_total", 1), 1u);
     EXPECT_EQ(fed.origin->requests_served(), 1u);
 }
 
@@ -73,8 +73,8 @@ TEST(MiniProxy, NoSharingModeNeverQueries) {
     (void)fed.get(0, "http://a/1");
     (void)fed.get(1, "http://a/1");  // both go to origin
     EXPECT_EQ(fed.origin->requests_served(), 2u);
-    EXPECT_EQ(fed.proxies[0]->stats().icp_queries_sent, 0u);
-    EXPECT_EQ(fed.proxies[1]->stats().remote_hits, 0u);
+    EXPECT_EQ(fed.counts("sc_proxy_icp_queries_sent_total", 1), 0u);
+    EXPECT_EQ(fed.counts("sc_proxy_remote_hits_total", 2), 0u);
 }
 
 TEST(MiniProxy, IcpRemoteHit) {
@@ -82,12 +82,10 @@ TEST(MiniProxy, IcpRemoteHit) {
     EXPECT_EQ(fed.get(0, "http://shared/doc").status, HttpLiteStatus::miss);
     EXPECT_EQ(fed.get(1, "http://shared/doc").status, HttpLiteStatus::remote_hit);
     EXPECT_EQ(fed.origin->requests_served(), 1u);  // served sibling-to-sibling
-    const auto s0 = fed.proxies[0]->stats();
-    const auto s1 = fed.proxies[1]->stats();
-    EXPECT_EQ(s1.remote_hits, 1u);
-    EXPECT_GE(s1.icp_queries_sent, 1u);
-    EXPECT_GE(s0.icp_queries_received, 1u);
-    EXPECT_GE(s0.icp_replies_sent, 1u);
+    EXPECT_EQ(fed.counts("sc_proxy_remote_hits_total", 2), 1u);
+    EXPECT_GE(fed.counts("sc_proxy_icp_queries_sent_total", 2), 1u);
+    EXPECT_GE(fed.counts("sc_proxy_icp_queries_received_total", 1), 1u);
+    EXPECT_GE(fed.counts("sc_proxy_icp_replies_sent_total", 1), 1u);
     // Simple sharing: proxy 1 cached the copy, a repeat is a local hit.
     EXPECT_EQ(fed.get(1, "http://shared/doc").status, HttpLiteStatus::local_hit);
 }
@@ -95,28 +93,27 @@ TEST(MiniProxy, IcpRemoteHit) {
 TEST(MiniProxy, IcpQueriesAllSiblingsOnEveryMiss) {
     Federation fed(4, ShareMode::icp);
     (void)fed.get(0, "http://only-mine/1");
-    const auto stats = fed.proxies[0]->stats();
-    EXPECT_EQ(stats.icp_queries_sent, 3u);
-    EXPECT_EQ(stats.icp_replies_received, 3u);  // three MISS replies
+    EXPECT_EQ(fed.counts("sc_proxy_icp_queries_sent_total", 1), 3u);
+    EXPECT_EQ(fed.counts("sc_proxy_icp_replies_received_total", 1), 3u);  // three MISS replies
 }
 
 TEST(MiniProxy, SummaryModeSkipsQueriesWhenSummariesSilent) {
     Federation fed(3, ShareMode::summary);
     (void)fed.get(0, "http://nowhere/else");
-    const auto stats = fed.proxies[0]->stats();
     // No sibling summary advertises the URL: zero queries on the wire.
-    EXPECT_EQ(stats.icp_queries_sent, 0u);
+    EXPECT_EQ(fed.counts("sc_proxy_icp_queries_sent_total", 1), 0u);
 }
 
 TEST(MiniProxy, SummaryModeRemoteHitAfterUpdatePropagates) {
     Federation fed(2, ShareMode::summary);
     EXPECT_EQ(fed.get(0, "http://popular/doc").status, HttpLiteStatus::miss);
-    Federation::settle();  // let the directory update reach proxy 1
-    EXPECT_GE(fed.proxies[1]->stats().updates_received, 1u);
+    // Let the directory update reach proxy 2.
+    ASSERT_TRUE(test::eventually(
+        [&] { return fed.proxies[1]->sibling_replica_predicts(1, "http://popular/doc"); }));
+    EXPECT_GE(fed.counts("sc_node_updates_applied_total", 2), 1u);
     EXPECT_EQ(fed.get(1, "http://popular/doc").status, HttpLiteStatus::remote_hit);
-    const auto s1 = fed.proxies[1]->stats();
-    EXPECT_EQ(s1.remote_hits, 1u);
-    EXPECT_EQ(s1.icp_queries_sent, 1u);  // only the promising sibling
+    EXPECT_EQ(fed.counts("sc_proxy_remote_hits_total", 2), 1u);
+    EXPECT_EQ(fed.counts("sc_proxy_icp_queries_sent_total", 2), 1u);  // only the promising sibling
     EXPECT_EQ(fed.origin->requests_served(), 1u);
 }
 
@@ -141,7 +138,7 @@ TEST(MiniProxy, SummaryFalseMissBeforeUpdateArrives) {
 
     const auto get = [&](int proxy, const std::string& url) {
         TcpConnection c = TcpConnection::connect(proxies[static_cast<std::size_t>(proxy)]->http_endpoint());
-        c.write_all(format_request({false, false, url, 0, 50}));
+        c.write_all(format_request({false, url, 0, 50}));
         const auto header = parse_response_header(*c.read_line());
         c.discard_exact(header->size);
         return header->status;
@@ -164,7 +161,7 @@ TEST(MiniProxy, StaleSiblingCopyFallsBackToOrigin) {
     // SGET returns NOT_CACHED on the version check: remote stale hit.
     EXPECT_EQ(fed.get(1, "http://doc/v", /*version=*/2).status, HttpLiteStatus::miss);
     EXPECT_EQ(fed.origin->requests_served(), 2u);
-    EXPECT_EQ(fed.proxies[1]->stats().remote_hits, 0u);
+    EXPECT_EQ(fed.counts("sc_proxy_remote_hits_total", 2), 0u);
 }
 
 TEST(MiniProxy, FullSummaryBroadcastBootstrapsSiblings) {
@@ -181,6 +178,7 @@ TEST(MiniProxy, FullSummaryBroadcastBootstrapsSiblings) {
     MiniProxyConfig cfg1 = cfg0;
     cfg1.id = 2;
     auto p1 = std::make_unique<MiniProxy>(cfg1);
+    const test::MetricDelta counts;
 
     p0->add_sibling(2, p1->icp_endpoint(), p1->http_endpoint());
     p1->add_sibling(1, p0->icp_endpoint(), p0->http_endpoint());
@@ -189,7 +187,7 @@ TEST(MiniProxy, FullSummaryBroadcastBootstrapsSiblings) {
 
     const auto get = [&](MiniProxy& p, const std::string& url) {
         TcpConnection c = TcpConnection::connect(p.http_endpoint());
-        c.write_all(format_request({false, false, url, 0, 64}));
+        c.write_all(format_request({false, url, 0, 64}));
         const auto header = parse_response_header(*c.read_line());
         c.discard_exact(header->size);
         return header->status;
@@ -198,8 +196,8 @@ TEST(MiniProxy, FullSummaryBroadcastBootstrapsSiblings) {
     EXPECT_EQ(get(*p0, "http://warm/doc"), HttpLiteStatus::miss);
     p0->stop();  // quiesce so broadcast_full_summary may touch node state
     p0->broadcast_full_summary();
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    EXPECT_GE(p1->stats().updates_received, 1u);
+    EXPECT_TRUE(test::eventually([&] { return p1->sibling_replica_predicts(1, "http://warm/doc"); }));
+    EXPECT_GE(counts("sc_node_updates_applied_total", 2), 1u);
     p1->stop();
     origin->stop();
 }
@@ -209,9 +207,15 @@ TEST(MiniProxy, ManyDocumentsAcrossFederation) {
     for (int i = 0; i < 30; ++i)
         EXPECT_EQ(fed.get(static_cast<std::size_t>(i % 3), "http://d/" + std::to_string(i)).status,
                   HttpLiteStatus::miss);
-    Federation::settle();
-    // Every document is now locally cached where it was requested, and the
-    // sibling summaries advertise it.
+    // Every document is now locally cached where it was requested; wait
+    // until the proxy that will ask for it next predicts it from its owner.
+    EXPECT_TRUE(test::eventually([&] {
+        for (int i = 0; i < 30; ++i)
+            if (!fed.proxies[static_cast<std::size_t>((i + 1) % 3)]->sibling_replica_predicts(
+                    static_cast<NodeId>(i % 3 + 1), "http://d/" + std::to_string(i)))
+                return false;
+        return true;
+    }));
     std::uint64_t remote = 0;
     for (int i = 0; i < 30; ++i) {
         const auto st = fed.get(static_cast<std::size_t>((i + 1) % 3), "http://d/" + std::to_string(i)).status;
@@ -225,6 +229,26 @@ TEST(MiniProxy, StopIsIdempotentAndDestructorSafe) {
     Federation fed(1, ShareMode::none);
     fed.proxies[0]->stop();
     fed.proxies[0]->stop();
+}
+
+std::size_t open_fds() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST(MiniProxy, FailedConstructionClosesEveryFd) {
+    // The access log opens after the sockets and the wake pipe exist; when
+    // it cannot, the throwing constructor must release all of them.
+    MiniProxyConfig cfg;
+    cfg.id = 1;
+    cfg.access_log_path = "/nonexistent-sc-dir/access.log";
+    EXPECT_THROW(MiniProxy{cfg}, std::runtime_error);  // warm any lazy process fds
+    const std::size_t before = open_fds();
+    for (int i = 0; i < 10; ++i) EXPECT_THROW(MiniProxy{cfg}, std::runtime_error);
+    EXPECT_EQ(open_fds(), before);
 }
 
 }  // namespace

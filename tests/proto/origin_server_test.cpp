@@ -13,7 +13,7 @@ namespace {
 TEST(OriginServer, ServesRequestedByteCount) {
     OriginServer server({.port = 0, .reply_delay = std::chrono::milliseconds(0)});
     TcpConnection c = TcpConnection::connect(server.endpoint());
-    c.write_all(format_request({false, false, "http://any/url", 0, 5000}));
+    c.write_all(format_request({false, "http://any/url", 0, 5000}));
     const auto line = c.read_line();
     ASSERT_TRUE(line.has_value());
     const auto header = parse_response_header(*line);
@@ -30,7 +30,7 @@ TEST(OriginServer, PersistentConnectionServesMany) {
     OriginServer server({});
     TcpConnection c = TcpConnection::connect(server.endpoint());
     for (int i = 0; i < 20; ++i) {
-        c.write_all(format_request({false, false, "http://u/" + std::to_string(i), 0,
+        c.write_all(format_request({false, "http://u/" + std::to_string(i), 0,
                                     static_cast<std::uint64_t>(10 + i)}));
         const auto header = parse_response_header(*c.read_line());
         ASSERT_TRUE(header.has_value());
@@ -48,7 +48,7 @@ TEST(OriginServer, ConcurrentClients) {
         clients.emplace_back([&server, &ok] {
             TcpConnection c = TcpConnection::connect(server.endpoint());
             for (int i = 0; i < 10; ++i) {
-                c.write_all(format_request({false, false, "http://c/u", 0, 100}));
+                c.write_all(format_request({false, "http://c/u", 0, 100}));
                 const auto header = parse_response_header(*c.read_line());
                 ASSERT_TRUE(header.has_value());
                 c.discard_exact(header->size);
@@ -65,7 +65,7 @@ TEST(OriginServer, ReplyDelayIsApplied) {
     OriginServer server({.port = 0, .reply_delay = std::chrono::milliseconds(80)});
     TcpConnection c = TcpConnection::connect(server.endpoint());
     const auto start = std::chrono::steady_clock::now();
-    c.write_all(format_request({false, false, "http://slow/u", 0, 10}));
+    c.write_all(format_request({false, "http://slow/u", 0, 10}));
     ASSERT_TRUE(c.read_line().has_value());
     const auto elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 75);

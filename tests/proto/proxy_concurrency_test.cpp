@@ -15,6 +15,7 @@
 #include "icp/udp_socket.hpp"
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
+#include "support/metric_delta.hpp"
 
 namespace sc {
 namespace {
@@ -24,6 +25,7 @@ using namespace std::chrono_literals;
 struct ProxyRig {
     std::unique_ptr<OriginServer> origin;
     std::unique_ptr<MiniProxy> proxy;
+    test::MetricDelta counts;  ///< baseline: the proxy just constructed
 
     explicit ProxyRig(int workers, ShareMode mode = ShareMode::none,
                       std::chrono::milliseconds origin_delay = 0ms,
@@ -37,6 +39,7 @@ struct ProxyRig {
         cfg.workers = workers;
         cfg.query_timeout = query_timeout;
         proxy = std::make_unique<MiniProxy>(cfg);
+        counts = test::MetricDelta();
     }
 
     void start() { proxy->start(); }
@@ -52,7 +55,7 @@ struct ProxyRig {
 
     HttpLiteStatus get(TcpConnection& c, const std::string& url,
                        std::uint64_t size = 100) {
-        c.write_all(format_request({false, false, url, 0, size}));
+        c.write_all(format_request({false, url, 0, size}));
         return read_response(c);
     }
 
@@ -115,9 +118,9 @@ TEST(ProxyConcurrency, PipelinedRequestsOnOneConnectionStayOrdered) {
     rig.start();
     TcpConnection c = rig.connect();
     std::string burst;
-    burst += format_request({false, false, "http://pipe/a", 0, 100});
-    burst += format_request({false, false, "http://pipe/a", 0, 100});
-    burst += format_request({false, false, "http://pipe/b", 0, 100});
+    burst += format_request({false, "http://pipe/a", 0, 100});
+    burst += format_request({false, "http://pipe/a", 0, 100});
+    burst += format_request({false, "http://pipe/b", 0, 100});
     c.write_all(burst);
     EXPECT_EQ(ProxyRig::read_response(c), HttpLiteStatus::miss);
     EXPECT_EQ(ProxyRig::read_response(c), HttpLiteStatus::local_hit);
@@ -128,7 +131,7 @@ TEST(ProxyConcurrency, HalfClosedClientStillGetsBufferedRequestsServed) {
     ProxyRig rig(/*workers=*/1);
     rig.start();
     TcpConnection c = rig.connect();
-    c.write_all(format_request({false, false, "http://halfclose/a", 0, 64}));
+    c.write_all(format_request({false, "http://halfclose/a", 0, 64}));
     ::shutdown(c.fd(), SHUT_WR);  // EOF after a complete buffered line
     EXPECT_EQ(ProxyRig::read_response(c), HttpLiteStatus::miss);
     EXPECT_FALSE(c.read_line());  // proxy closes once the buffer drains
@@ -170,7 +173,7 @@ TEST(ProxyConcurrency, WorkerPoolOverlapsSlowOriginFetches) {
     for (auto& t : clients) t.join();
     const auto elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(elapsed, 900ms) << "origin fetches did not overlap";
-    EXPECT_EQ(rig.proxy->stats().origin_fetches, 4u);
+    EXPECT_EQ(rig.counts("sc_proxy_origin_fetches_total", 1), 4u);
 }
 
 TEST(ProxyConcurrency, StaleIcpRepliesAreCountedNotDelivered) {
@@ -206,16 +209,11 @@ TEST(ProxyConcurrency, StaleIcpRepliesAreCountedNotDelivered) {
     fake.send_to(query->from, payload);
     client.join();
 
-    // The drop is visible in stats once the datagram has been processed.
-    MiniProxyStats s;
-    for (int i = 0; i < 50; ++i) {
-        s = rig.proxy->stats();
-        if (s.icp_stale_replies >= 1) break;
-        std::this_thread::sleep_for(20ms);
-    }
-    EXPECT_EQ(s.icp_stale_replies, 1u);
-    EXPECT_EQ(s.icp_replies_received, 0u);  // never surfaced to the round
-    EXPECT_GE(s.icp_queries_sent, 1u);
+    // The drop is counted once the datagram has been processed.
+    (void)test::eventually([&] { return rig.counts("sc_icp_stale_replies_total") >= 1; }, 1s);
+    EXPECT_EQ(rig.counts("sc_icp_stale_replies_total"), 1u);
+    EXPECT_EQ(rig.counts("sc_proxy_icp_replies_received_total", 1), 0u);  // never surfaced to the round
+    EXPECT_GE(rig.counts("sc_proxy_icp_queries_sent_total", 1), 1u);
 }
 
 TEST(ProxyConcurrency, WorkerGaugesReturnToZeroWhenIdle) {

@@ -24,6 +24,7 @@
 
 #include "proto/mini_proxy.hpp"
 #include "proto/origin_server.hpp"
+#include "support/metric_delta.hpp"
 
 namespace sc {
 namespace {
@@ -78,7 +79,7 @@ TEST(ProxyShutdown, StopWithRequestsInFlightKeepsSessionsAliveForWorkers) {
                     const std::string url = "http://host/inflight-" +
                                             std::to_string(round) + "-" +
                                             std::to_string(c);
-                    conn.write_all(format_request({false, false, url, 0, 256}));
+                    conn.write_all(format_request({false, url, 0, 256}));
                     (void)conn.read_line();  // may fail: shutdown races the reply
                 } catch (const std::exception&) {
                     // Connection reset mid-shutdown is expected, not a failure.
@@ -106,16 +107,20 @@ TEST(ProxyShutdown, IdleLoopDoesNotBusyWake) {
     cfg.keepalive_interval = 60s;   // no liveness tick inside the window
     cfg.idle_timeout = 0ms;         // no idle-sweep timer either
     MiniProxy proxy(cfg);
+    // The loop records one wait-histogram sample per wakeup, and this is
+    // the only proxy (hence the only event backend) running.
+    const obs::Labels backend{
+        {"backend", net::event_backend_kind_name(proxy.event_backend_kind())}};
     proxy.start();
     std::this_thread::sleep_for(50ms);  // let startup wakeups settle
 
-    const std::uint64_t wakeups_before = proxy.stats().loop_wakeups;
+    const test::MetricDelta counts;
     timespec cpu_before{};
     ASSERT_EQ(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu_before), 0);
     std::this_thread::sleep_for(500ms);
     timespec cpu_after{};
     ASSERT_EQ(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu_after), 0);
-    const std::uint64_t wakeups = proxy.stats().loop_wakeups - wakeups_before;
+    const std::uint64_t wakeups = counts("sc_event_backend_wait_seconds", backend);
 
     // A 50ms tick would show ~10 wakeups here; a spin, thousands. Allow a
     // generous margin for stray signals and scheduler noise.

@@ -125,7 +125,7 @@ TEST(SummaryUpdateOrder, ConcurrentFlushesAndHeartbeatsNeverOpenAGap) {
                 for (std::uint64_t i = 0; std::chrono::steady_clock::now() < stop_at; ++i) {
                     const std::string url =
                         "http://order/" + std::to_string(c) + "/" + std::to_string(i);
-                    conn.write_all(format_request({false, false, url, 0, kDocBytes}));
+                    conn.write_all(format_request({false, url, 0, kDocBytes}));
                     const auto line = conn.read_line();
                     if (!line) throw std::runtime_error("proxy closed the connection");
                     const auto header = parse_response_header(*line);

@@ -9,14 +9,16 @@
 //   ...
 //
 // --sibling takes id:http-port:icp-port (loopback). Modes: none, icp,
-// summary, digest (Squid Cache-Digest-style pull). --workers N serves
-// requests with an N-thread pool (default 1 = serial, arrival order).
+// summary, digest (Squid Cache-Digest-style pull: a DIRREQ to each live
+// sibling every keepalive tick, answered with its full bitmap over ICP).
+// --workers N serves requests with an N-thread pool (default 1 = serial,
+// arrival order).
 // --cache-shards M splits the LRU cache into M lock shards (power of
 // two; default 0 = auto, min(workers, 8)).
 // --dynamic-membership 0 disables runtime mesh joins; --fault-loss /
 // --fault-dup / --fault-reorder / --fault-seed inject deterministic ICP
 // datagram faults for soak testing (or SC_UDP_FAULT_* env vars).
-// Prints a stats line every few seconds until killed.
+// Prints a line of registry counts every few seconds until killed.
 // --metrics-out FILE dumps the sc::obs registry as JSON on shutdown; live
 // metrics are also served at GET /__metrics on the HTTP port.
 #include <chrono>
@@ -183,16 +185,18 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
         if (std::chrono::steady_clock::now() < next_report) continue;
         next_report += std::chrono::seconds(3);
-        const auto s = proxy.stats();
-        if (s.requests == 0) continue;
+        // The registry is the proxy's only count source.
+        const auto snap = obs::metrics().snapshot();
+        const auto count = [&](const char* name) -> unsigned long long {
+            const auto* s = snap.find(name, {{"node", std::to_string(proxy.id())}});
+            return s != nullptr ? s->counter : 0;
+        };
+        if (count("sc_proxy_requests_total") == 0) continue;
         std::printf("req=%llu localHit=%llu remoteHit=%llu queries=%llu updates=%llu "
                     "falseHit=%llu\n",
-                    static_cast<unsigned long long>(s.requests),
-                    static_cast<unsigned long long>(s.local_hits),
-                    static_cast<unsigned long long>(s.remote_hits),
-                    static_cast<unsigned long long>(s.icp_queries_sent),
-                    static_cast<unsigned long long>(s.updates_sent),
-                    static_cast<unsigned long long>(s.false_hit_queries));
+                    count("sc_proxy_requests_total"), count("sc_cache_hits_total"),
+                    count("sc_proxy_remote_hits_total"), count("sc_proxy_icp_queries_sent_total"),
+                    count("sc_proxy_updates_sent_total"), count("sc_proxy_false_hit_queries_total"));
         std::fflush(stdout);
     }
     proxy.stop();

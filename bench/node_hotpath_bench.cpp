@@ -4,10 +4,10 @@
 //
 // Scenario: the MiniProxy worker-pool request path with the transport
 // stripped away — a shared ProtocolEngine over a sharded LruCache whose
-// hooks journal into the DeltaBatcher, probing four sibling replicas held
-// by a SummaryCacheNode as lock-free snapshots. Every op is one request:
-// local lookup, on a miss a replica probe plus admit, with the hook
-// journal drained periodically the way the elected flusher does.
+// hooks write the SummaryCacheNode's counting filter, probing four sibling
+// replicas held by that node as lock-free snapshots. Every op is one
+// request: local lookup, and on a miss a replica probe plus admit, with
+// the delta log dropped periodically the way the elected flusher takes it.
 //
 // Checks, each fatal on violation (exit 1):
 //   1. Contended scaling: at 8 threads the 8-shard cache must beat the
@@ -124,8 +124,8 @@ constexpr std::uint64_t kDocBytes = 8192;
 
 /// The proxy's request path with the sockets removed: engine + sharded
 /// cache + node-held sibling replicas, wired exactly like MiniProxy
-/// (cache hooks -> DeltaBatcher journal; probes -> replica snapshots, the
-/// node itself being the engine's lock-free PeerDirectory).
+/// (cache hooks -> the node's counting filter; probes -> replica
+/// snapshots, the node itself being the engine's lock-free PeerDirectory).
 struct HotPath {
     LruCache cache;
     SummaryCacheNode node;
@@ -152,13 +152,10 @@ struct HotPath {
                 sibling.on_cache_insert(urls[i]);
             node.apply_sibling_update(decode_dirupdate(sibling.encode_full_update()));
         }
-        // Production hook wiring: cache hooks journal into the batcher
-        // (leaf lock), never into summary state (docs/PROTOCOL.md).
-        core::DeltaBatcher& batcher = engine.batcher();
-        cache.set_insert_hook(
-            [&batcher](const LruCache::Entry& e) { batcher.record_insert(e.url); });
-        cache.set_removal_hook(
-            [&batcher](const LruCache::Entry& e) { batcher.record_erase(e.url); });
+        // Production hook wiring: cache hooks write the node's counting
+        // filter under its leaf lock (docs/PROTOCOL.md "Locking").
+        cache.set_insert_hook([this](const LruCache::Entry& e) { node.on_cache_insert(e.url); });
+        cache.set_removal_hook([this](const LruCache::Entry& e) { node.on_cache_erase(e.url); });
     }
 };
 
@@ -183,9 +180,9 @@ double timed_hotpath_ns(HotPath& hp, int threads, std::size_t ops_per_thread) {
                 }
                 local += hp.engine.probe(url).size();
                 (void)hp.engine.admit(url, kDocBytes, 0);
-                // Stand in for the elected flusher: keep the hook journal
-                // bounded the way sync_node does in the live proxy.
-                if ((n & 8191) == 8191) (void)hp.engine.batcher().drain_journal();
+                // Stand in for the elected flusher: keep the node's delta
+                // log bounded the way encode_pending_updates does live.
+                if ((n & 8191) == 8191) hp.node.discard_delta();
             }
             served.fetch_add(local, std::memory_order_relaxed);
             sync.arrive_and_wait();

@@ -8,7 +8,8 @@
 // Hook discipline (shared by every implementation): hooks run under the
 // store's internal lock(s) and must not call back into the store; any
 // lock a hook takes must be a leaf lock (see docs/PROTOCOL.md "Locking").
-// The DeltaBatcher journal satisfies this by design.
+// SummaryCacheNode's on_cache_insert / on_cache_erase satisfy this by
+// design.
 #pragma once
 
 #include <cstdint>

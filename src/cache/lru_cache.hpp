@@ -23,10 +23,10 @@
 // production). Hooks run under a shard mutex: they must not call back
 // into the cache, and any lock they take must be a LEAF lock — one under
 // which no code path calls back into the cache or takes further locks.
-// The DeltaBatcher journal mutex is the canonical example; routing hook
-// work through the journal (rather than into summary/node state guarded
-// by coarser locks) is what lets flush callbacks call back into the cache
-// safely. See docs/PROTOCOL.md "Locking" and
+// SummaryCacheNode's local-filter mutex is the canonical example: the
+// proxy's hooks write the counting filter under it, and because nothing
+// is called while it is held, flush callbacks may call back into the
+// cache safely. See docs/PROTOCOL.md "Locking" and
 // tests/core/delta_batcher_test.cpp (deadlock regression).
 // All accessors return copies (`entry_copy`, `lru_entry`); no pointer
 // into cache-owned storage escapes a shard lock.

@@ -1,7 +1,5 @@
 #include "core/delta_batcher.hpp"
 
-#include <utility>
-
 #include "util/sc_assert.hpp"
 
 namespace sc::core {
@@ -12,26 +10,6 @@ DeltaBatcher::DeltaBatcher(DeltaBatcherConfig config) : config_(config) {
     metric_batch_size_ = obs::metrics().histogram(
         "sc_core_delta_batch_size", "Documents coalesced into one directory-update flush",
         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
-}
-
-void DeltaBatcher::record_insert(std::string_view url) {
-    const MutexLock lock(journal_mu_);
-    journal_.push_back(Op{true, std::string(url)});
-}
-
-void DeltaBatcher::record_erase(std::string_view url) {
-    const MutexLock lock(journal_mu_);
-    journal_.push_back(Op{false, std::string(url)});
-}
-
-std::vector<DeltaBatcher::Op> DeltaBatcher::drain_journal() {
-    const MutexLock lock(journal_mu_);
-    return std::exchange(journal_, {});
-}
-
-bool DeltaBatcher::journal_empty() const {
-    const MutexLock lock(journal_mu_);
-    return journal_.empty();
 }
 
 bool DeltaBatcher::due(std::uint64_t cached_docs, double now) const {

@@ -7,14 +7,12 @@
 // one flusher per threshold crossing, so concurrent inserts coalesce into
 // a single delta/full-bitmap flush instead of a per-insert broadcast.
 //
-// It also carries the hook journal that decouples cache hooks from
-// summary state. LruCache hooks run under the cache mutex and therefore
-// must only take leaf locks; record_insert/record_erase take exactly one
-// (the journal mutex, under which nothing else is called), and the
-// elected flusher later drains the journal into the counting filter /
-// SummaryCacheNode outside the cache lock. That inversion-free shape is
-// what lets a flush callback call back into the cache (document_count,
-// even insert) without deadlocking — see tests/core/delta_batcher_test.cpp.
+// It decides WHEN, never WHAT: the cache hooks write each directory
+// change straight into the summary (the simulators' BloomSummary, the
+// proxy's SummaryCacheNode), and the elected flusher encodes whatever
+// that summary holds. The batcher takes no lock, so a flush callback may
+// call back into the cache (document_count, even insert) — see
+// tests/core/delta_batcher_test.cpp.
 //
 // Single-threaded callers (the simulators) use the same object; the
 // atomics cost nothing there and the decision logic is shared, which is
@@ -24,12 +22,8 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace sc::core {
 
@@ -50,23 +44,7 @@ struct DeltaBatcherConfig {
 
 class DeltaBatcher {
 public:
-    /// One journaled directory event (true = insert, false = erase).
-    struct Op {
-        bool insert = true;
-        std::string url;
-    };
-
     explicit DeltaBatcher(DeltaBatcherConfig config);
-
-    // --- hook journal (leaf lock; callable from cache hooks) -------------
-    void record_insert(std::string_view url) SC_EXCLUDES(journal_mu_);
-    void record_erase(std::string_view url) SC_EXCLUDES(journal_mu_);
-
-    /// Take the journaled ops (in order). Called by whoever mirrors them
-    /// into the summary/node — never from a cache hook.
-    [[nodiscard]] std::vector<Op> drain_journal() SC_EXCLUDES(journal_mu_);
-
-    [[nodiscard]] bool journal_empty() const SC_EXCLUDES(journal_mu_);
 
     // --- update-delay accounting -----------------------------------------
     /// A document entered the directory that the published summary does
@@ -107,9 +85,6 @@ private:
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<bool> flushing_{false};
     std::atomic<double> last_publish_{0.0};
-
-    mutable Mutex journal_mu_;  // leaf lock: nothing is called under it
-    std::vector<Op> journal_ SC_GUARDED_BY(journal_mu_);
 
     obs::Histogram metric_batch_size_;
 };

@@ -9,7 +9,8 @@
 //                   time, stop at the first fresh copy; a stale copy ends
 //                   the round), multicast for classic ICP;
 //   admit         — insert the fetched document and account it toward the
-//                   update-delay threshold;
+//                   update-delay threshold (the cache's hooks write the
+//                   change into the directory summary directly);
 //   maybe_flush / maybe_publish — directory maintenance: elect one
 //                   flusher per threshold crossing (DeltaBatcher) and
 //                   emit the cheaper of delta / full-bitmap (§VI-A, done

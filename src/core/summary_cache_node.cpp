@@ -55,7 +55,8 @@ void apply_bitmap_words(BloomFilter& filter, std::span<const std::uint32_t> word
 
 SummaryCacheNode::SummaryCacheNode(SummaryCacheNodeConfig config)
     : config_(config),
-      counting_(spec_for(config), config.bloom.counter_bits),
+      spec_(spec_for(config)),
+      counting_(spec_, config.bloom.counter_bits),
       boot_id_(make_boot_id(config.boot_id)) {
     replicas_.store(std::make_shared<const ReplicaTable>(), std::memory_order_release);
     const obs::Labels labels{{"node", std::to_string(config_.node_id)}};
@@ -77,23 +78,32 @@ SummaryCacheNode::SummaryCacheNode(SummaryCacheNodeConfig config)
         "Unsynced or quarantined sibling streams reinitialized by a full bitmap", labels);
 }
 
-void SummaryCacheNode::on_cache_insert(std::string_view url) { counting_.insert(url); }
+void SummaryCacheNode::on_cache_insert(std::string_view url) {
+    const MutexLock lock(local_mu_);
+    counting_.insert(url);
+}
 
-void SummaryCacheNode::on_cache_erase(std::string_view url) { counting_.erase(url); }
+void SummaryCacheNode::on_cache_erase(std::string_view url) {
+    const MutexLock lock(local_mu_);
+    counting_.erase(url);
+}
 
 std::size_t SummaryCacheNode::rebuild_from_directory(const CacheStore& store) {
     std::size_t count = 0;
+    // The leaf lock is taken per entry, inside the walk: the store's locks
+    // come first, as they do when a hook fires.
     store.for_each_entry([this, &count](const CacheStore::Entry& e) {
-        counting_.insert(e.url);
+        on_cache_insert(e.url);
         ++count;
     });
-    // The recovered baseline is announced with a full update, not streamed
-    // as a delta — drop the bit-flip log the inserts just accumulated.
-    (void)counting_.take_delta();
+    // The recovered baseline is served whole as a DIRREQ answer, not
+    // streamed as a delta — drop the bit-flip log the inserts accumulated.
+    discard_delta();
     return count;
 }
 
 std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_pending_updates() {
+    const MutexLock lock(local_mu_);
     DeltaLog delta = counting_.take_delta();
     if (delta.empty()) return {};
     const std::vector<std::uint32_t> records = delta.encode();
@@ -104,7 +114,7 @@ std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_pending_updates(
     // record bytes against a framed full previously mis-elected large
     // chunked deltas.
     const std::size_t delta_bytes = dirupdate_delta_wire_bytes(records.size());
-    const std::size_t full_bytes = dirupdate_full_wire_bytes(counting_.spec());
+    const std::size_t full_bytes = dirupdate_full_wire_bytes(spec_);
     const bool send_full = full_bytes < delta_bytes && full_bytes <= kMaxIcpDatagram;
     std::vector<std::vector<std::uint8_t>> out;
     if (send_full) {
@@ -113,11 +123,10 @@ std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_pending_updates(
         // next delta shows up as a gap and triggers a resync instead of a
         // silent divergence.
         ++delta_seq_;
-        out.push_back(encode_full_update());
+        out.push_back(encode_full_update_locked());
     } else {
         out = encode_delta_chunks(records);
     }
-    updates_sent_ += out.size();
     metric_updates_sent_.inc(out.size());
     obs::trace(obs::TraceEventType::summary_update_emitted,
                static_cast<std::uint16_t>(config_.node_id), out.size(), send_full ? 1 : 0);
@@ -133,7 +142,7 @@ std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_delta_chunks(
         msg.request_number = delta_seq_++;
         msg.sender_host = config_.node_id;
         msg.boot_id = boot_id_;
-        msg.spec = counting_.spec();
+        msg.spec = spec_;
         msg.full = false;
         msg.records.assign(records.begin() + static_cast<std::ptrdiff_t>(off),
                            records.begin() + static_cast<std::ptrdiff_t>(off + count));
@@ -143,6 +152,11 @@ std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_delta_chunks(
 }
 
 std::vector<std::uint8_t> SummaryCacheNode::encode_full_update() {
+    const MutexLock lock(local_mu_);
+    return encode_full_update_locked();
+}
+
+std::vector<std::uint8_t> SummaryCacheNode::encode_full_update_locked() {
     IcpDirUpdate msg;
     // A full bitmap is a snapshot, not churn: it advertises the sequence
     // the next delta will carry so the receiver resumes gap detection
@@ -151,7 +165,7 @@ std::vector<std::uint8_t> SummaryCacheNode::encode_full_update() {
     msg.request_number = delta_seq_;
     msg.sender_host = config_.node_id;
     msg.boot_id = boot_id_;
-    msg.spec = counting_.spec();
+    msg.spec = spec_;
     msg.full = true;
     msg.bitmap_words = bitmap_words_of(counting_.bits());
     return encode_dirupdate(msg);
@@ -162,24 +176,35 @@ std::vector<std::uint8_t> SummaryCacheNode::encode_seq_heartbeat() {
     // An empty delta advertising the sequence the next real delta will
     // use, consuming nothing. A receiver in sync drops it; one that lost
     // the tail of the stream sees the gap and quarantines/resyncs.
-    msg.request_number = delta_seq_;
+    {
+        const MutexLock lock(local_mu_);
+        msg.request_number = delta_seq_;
+    }
     msg.sender_host = config_.node_id;
     msg.boot_id = boot_id_;
-    msg.spec = counting_.spec();
+    msg.spec = spec_;
     return encode_dirupdate(msg);
 }
 
 std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_full_update_chunks() {
-    const std::vector<std::uint32_t> words = bitmap_words_of(counting_.bits());
+    // Snapshot under the leaf lock, encode outside it: a large bitmap must
+    // not stall the cache hooks waiting on the lock.
+    std::vector<std::uint32_t> words;
+    std::uint32_t seq = 0;
+    {
+        const MutexLock lock(local_mu_);
+        words = bitmap_words_of(counting_.bits());
+        seq = delta_seq_;
+    }
     std::vector<std::vector<std::uint8_t>> out;
     for (std::size_t off = 0; off < words.size(); off += kMaxWordsPerFullChunk) {
         const std::size_t count = std::min(kMaxWordsPerFullChunk, words.size() - off);
         IcpDirUpdate msg;
-        msg.request_number = delta_seq_;
+        msg.request_number = seq;
         msg.sender_host = config_.node_id;
         msg.boot_id = boot_id_;
         msg.word_offset = static_cast<std::uint32_t>(off);
-        msg.spec = counting_.spec();
+        msg.spec = spec_;
         msg.full = true;
         msg.bitmap_words.assign(words.begin() + static_cast<std::ptrdiff_t>(off),
                                 words.begin() + static_cast<std::ptrdiff_t>(off + count));
@@ -188,7 +213,15 @@ std::vector<std::vector<std::uint8_t>> SummaryCacheNode::encode_full_update_chun
     return out;
 }
 
-void SummaryCacheNode::discard_delta() { (void)counting_.take_delta(); }
+void SummaryCacheNode::discard_delta() {
+    const MutexLock lock(local_mu_);
+    (void)counting_.take_delta();
+}
+
+BloomFilter SummaryCacheNode::local_bits() const {
+    const MutexLock lock(local_mu_);
+    return counting_.bits();
+}
 
 SummaryCacheNode::ReplicaTable::const_iterator SummaryCacheNode::find_replica(
     const ReplicaTable& table, NodeId sibling) {
@@ -234,7 +267,6 @@ void SummaryCacheNode::quarantine_locked(NodeId sibling, PeerStream& stream,
     stream.expected_seq = 0;
     stream.quarantined = true;
     stream.pending.reset();
-    divergences_.fetch_add(1, std::memory_order_relaxed);
     metric_divergences_.inc();
 }
 
@@ -262,7 +294,6 @@ SummaryApplyResult SummaryCacheNode::apply_delta_locked(const IcpDirUpdate& upda
     const auto current = replicas_.load(std::memory_order_acquire);
     const auto pos = find_replica(*current, sender);
     if (pos != current->end() && pos->second->spec() != update.spec) {
-        updates_rejected_.fetch_add(1, std::memory_order_relaxed);
         metric_updates_rejected_.inc();
         obs::trace(obs::TraceEventType::summary_update_rejected,
                    static_cast<std::uint16_t>(config_.node_id), sender);
@@ -294,7 +325,6 @@ SummaryApplyResult SummaryCacheNode::apply_delta_locked(const IcpDirUpdate& upda
     store_replica_locked(sender, std::move(next_filter));
     stream.expected_seq = update.request_number + 1;
 
-    updates_applied_.fetch_add(1, std::memory_order_relaxed);
     metric_updates_applied_.inc();
     obs::trace(obs::TraceEventType::summary_update_applied,
                static_cast<std::uint16_t>(config_.node_id), sender, 0);
@@ -349,12 +379,8 @@ SummaryApplyResult SummaryCacheNode::apply_full_locked(const IcpDirUpdate& updat
     stream.expected_seq = update.request_number;
     stream.quarantined = false;
     stream.pending.reset();
-    if (was_unsynced) {
-        resyncs_.fetch_add(1, std::memory_order_relaxed);
-        metric_resyncs_.inc();
-    }
+    if (was_unsynced) metric_resyncs_.inc();
 
-    updates_applied_.fetch_add(1, std::memory_order_relaxed);
     metric_updates_applied_.inc();
     obs::trace(obs::TraceEventType::summary_update_applied,
                static_cast<std::uint16_t>(config_.node_id), sender, 1);
@@ -398,9 +424,9 @@ std::vector<NodeId> SummaryCacheNode::promising_siblings(std::string_view url) c
     // Hash once per distinct spec (normally all siblings share ours),
     // into the inline buffer — no heap traffic on the probe path.
     BloomIndexes own_indexes;
-    bloom_indexes(url, counting_.spec(), own_indexes);
+    bloom_indexes(url, spec_, own_indexes);
     for (const auto& [id, filter] : *table) {
-        const bool promising = (filter->spec() == counting_.spec())
+        const bool promising = (filter->spec() == spec_)
                                    ? filter->may_contain(own_indexes.span())
                                    : filter->may_contain(url);
         if (promising) out.push_back(id);

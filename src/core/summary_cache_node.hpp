@@ -15,20 +15,22 @@
 // core::DeltaBatcher, shared with the simulators. The mini-proxy in
 // src/proto/ drives this node over real sockets.
 //
-// Thread safety: the sibling-replica side is RCU-style. Each sibling's
-// Bloom replica is an immutable snapshot behind a shared_ptr; the set of
-// replicas is an immutable, NodeId-sorted table behind an atomic
-// shared_ptr. Probes (`promising_siblings` / `sibling_may_contain` /
-// `sibling_filter`) load the current table and never take a lock — they
-// see a complete, untorn filter, at worst one update behind. Writers
-// (`apply_sibling_update` / `forget_sibling`) serialize on an internal
-// mutex, build the next snapshot OFF that publication (clone the affected
-// filter, apply the flips, assemble a new table), then publish with one
-// atomic store (`sc_node_replica_swaps_total` counts these). The LOCAL
-// directory side (`on_cache_insert` / `on_cache_erase` /
-// `encode_pending_updates` / the counting filter) is NOT internally
-// synchronized — callers serialize those as before (MiniProxy under its
-// node mutex; simulators are single-threaded).
+// Thread safety: every public method is safe from any thread. The
+// sibling-replica side is RCU-style. Each sibling's Bloom replica is an
+// immutable snapshot behind a shared_ptr; the set of replicas is an
+// immutable, NodeId-sorted table behind an atomic shared_ptr. Probes
+// (`promising_siblings` / `sibling_may_contain` / `sibling_filter`) load
+// the current table and never take a lock — they see a complete, untorn
+// filter, at worst one update behind. Writers (`apply_sibling_update` /
+// `forget_sibling`) serialize on an internal mutex, build the next
+// snapshot OFF that publication (clone the affected filter, apply the
+// flips, assemble a new table), then publish with one atomic store
+// (`sc_node_replica_swaps_total` counts these). The LOCAL directory side
+// (the counting filter, its delta log and the delta sequence) sits
+// behind its own LEAF mutex, so cache hooks may call `on_cache_insert` /
+// `on_cache_erase` under the cache's locks: nothing is called while it
+// is held. Callers that need encoded datagrams to leave in sequence order
+// serialize encode-and-send themselves (MiniProxy's node_mu_).
 #pragma once
 
 #include <atomic>
@@ -92,22 +94,22 @@ public:
     explicit SummaryCacheNode(SummaryCacheNodeConfig config);
 
     [[nodiscard]] NodeId id() const { return config_.node_id; }
-    [[nodiscard]] const HashSpec& hash_spec() const { return counting_.spec(); }
+    [[nodiscard]] const HashSpec& hash_spec() const { return spec_; }
     [[nodiscard]] std::uint32_t boot_id() const { return boot_id_; }
 
-    // --- local directory events -----------------------------------------
-    void on_cache_insert(std::string_view url);
-    void on_cache_erase(std::string_view url);
+    // --- local directory events (cache hooks; leaf lock) -----------------
+    void on_cache_insert(std::string_view url) SC_EXCLUDES(local_mu_);
+    void on_cache_erase(std::string_view url) SC_EXCLUDES(local_mu_);
 
     /// Warm restart (docs/STORAGE.md): re-derive the counting Bloom filter
     /// from a recovered directory so the node re-advertises a truthful
     /// summary instead of an empty one. Inserts every entry the store
     /// holds, then drops the resulting bit-flip log — the recovered state
-    /// is a baseline to be announced via encode_full_update(), not churn
-    /// to be streamed as a (huge) delta. Call before the store's hooks are
-    /// wired and before any traffic; externally synchronized like the rest
-    /// of the local directory side. Returns the number of entries folded in.
-    std::size_t rebuild_from_directory(const CacheStore& store);
+    /// is a baseline that siblings fetch whole (a DIRREQ answer), not
+    /// churn to be streamed as a (huge) delta. Call before the store's
+    /// hooks are wired and before any traffic. Returns the number of
+    /// entries folded in.
+    std::size_t rebuild_from_directory(const CacheStore& store) SC_EXCLUDES(local_mu_);
 
     // --- outbound updates -------------------------------------------------
     /// Drain the accumulated bit-flip log and return the encoded datagrams
@@ -116,7 +118,8 @@ public:
     /// smaller — the Section VI-A cheaper-encoding rule). Empty when the
     /// directory churn netted out. Deciding WHEN to call this is the
     /// DeltaBatcher's job.
-    [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_pending_updates();
+    [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_pending_updates()
+        SC_EXCLUDES(local_mu_);
 
     /// Unconditionally encode a full-bitmap snapshot in one datagram (used
     /// to initialize a freshly (re)started sibling, mirroring Squid's
@@ -124,13 +127,14 @@ public:
     /// receiver resumes gap detection exactly where the snapshot leaves
     /// off; does NOT consume a sequence number. Throws WireError if the
     /// bitmap exceeds one datagram — use encode_full_update_chunks then.
-    [[nodiscard]] std::vector<std::uint8_t> encode_full_update();
+    [[nodiscard]] std::vector<std::uint8_t> encode_full_update() SC_EXCLUDES(local_mu_);
 
     /// Same snapshot, chunked to fit kMaxIcpDatagram (DIRFULL word_offset
-    /// reassembly). This is the DIRREQ answer: a resync or bootstrap in
-    /// push mode, and the digest itself in the pull-based Cache Digest
-    /// variant, whose periodic DIRREQ is the pull.
-    [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_full_update_chunks();
+    /// reassembly). This is the DIRREQ answer: a bootstrap, recovery or
+    /// resync in push mode, and the digest itself in the pull-based Cache
+    /// Digest variant, whose periodic DIRREQ is the pull.
+    [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_full_update_chunks()
+        SC_EXCLUDES(local_mu_);
 
     /// Sequence heartbeat: an empty delta advertising the sequence the
     /// next real delta will use (consumes nothing; one datagram, ~32 B).
@@ -138,13 +142,13 @@ public:
     /// quiet period leaves a receiver synced-but-stale forever, since gap
     /// detection needs a later datagram to notice. Broadcast on the
     /// keepalive tick; in-sync receivers drop it, lagging ones quarantine
-    /// and resync. Externally synchronized like the other encoders.
-    [[nodiscard]] std::vector<std::uint8_t> encode_seq_heartbeat();
+    /// and resync.
+    [[nodiscard]] std::vector<std::uint8_t> encode_seq_heartbeat() SC_EXCLUDES(local_mu_);
 
     /// Drop the accumulated bit-flip log without emitting it. Pull-based
     /// digest deployments never send deltas, so the log would otherwise
-    /// grow without bound.
-    void discard_delta();
+    /// grow without bound. Takes no sequence number.
+    void discard_delta() SC_EXCLUDES(local_mu_);
 
     // --- inbound updates --------------------------------------------------
     /// Apply a sibling's decoded update message, tracking the sender's
@@ -193,14 +197,11 @@ public:
     [[nodiscard]] std::shared_ptr<const BloomFilter> sibling_filter(NodeId sibling) const;
 
     // --- introspection ----------------------------------------------------
-    [[nodiscard]] const CountingBloomFilter& local_filter() const { return counting_; }
-    [[nodiscard]] std::uint64_t updates_sent() const { return updates_sent_; }
-    [[nodiscard]] std::uint64_t updates_applied() const { return updates_applied_; }
-    [[nodiscard]] std::uint64_t updates_rejected() const { return updates_rejected_; }
-    /// Replicas dropped after a sequence gap or sender reboot.
-    [[nodiscard]] std::uint64_t replica_divergences() const { return divergences_; }
-    /// Unsynced/quarantined streams reinitialized by a full bitmap.
-    [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
+    // The node's counts live in the registry only, labeled node=<id>
+    // (docs/OBSERVABILITY.md).
+
+    /// A copy of the local summary's bit array (what a full update carries).
+    [[nodiscard]] BloomFilter local_bits() const SC_EXCLUDES(local_mu_);
 
 private:
     /// Immutable, NodeId-sorted set of sibling replicas. A table and every
@@ -230,7 +231,9 @@ private:
     };
 
     [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_delta_chunks(
-        std::span<const std::uint32_t> records);
+        std::span<const std::uint32_t> records) SC_REQUIRES(local_mu_);
+    [[nodiscard]] std::vector<std::uint8_t> encode_full_update_locked()
+        SC_REQUIRES(local_mu_);
 
     SummaryApplyResult apply_full_locked(const IcpDirUpdate& update)
         SC_REQUIRES(replica_write_mu_);
@@ -254,10 +257,17 @@ private:
                                                                    NodeId sibling);
 
     SummaryCacheNodeConfig config_;
-    // Local directory side: externally synchronized (MiniProxy's node
-    // mutex; simulators are single-threaded), so no SC_GUARDED_BY here —
-    // no single capability in this class guards it.
-    CountingBloomFilter counting_;
+    /// The local filter's hash spec, fixed at construction: the lock-free
+    /// probe and hash_spec() read it without touching counting_.
+    const HashSpec spec_;
+    /// Leaf lock for the local directory side: cache hooks take it under
+    /// the cache's locks, so nothing is called while it is held.
+    mutable Mutex local_mu_;
+    CountingBloomFilter counting_ SC_GUARDED_BY(local_mu_);
+    /// Next delta sequence to assign (per-boot, starts at 1). Each delta
+    /// chunk consumes one; an elected full-bitmap broadcast consumes one
+    /// slot too, so losing it is detectable as a gap.
+    std::uint32_t delta_seq_ SC_GUARDED_BY(local_mu_) = 1;
     mutable Mutex replica_write_mu_;  ///< serializes snapshot builders
     // RCU publication point: readers do lock-free acquire loads, so this
     // is deliberately NOT SC_GUARDED_BY(replica_write_mu_) — only the
@@ -267,18 +277,7 @@ private:
     /// mutex as the replica table so the two views can never disagree.
     std::map<NodeId, PeerStream> streams_ SC_GUARDED_BY(replica_write_mu_);
     std::uint32_t boot_id_ = 0;
-    /// Next delta sequence to assign (per-boot, starts at 1). Each delta
-    /// chunk consumes one; an elected full-bitmap broadcast consumes one
-    /// slot too, so losing it is detectable as a gap. Local-directory side:
-    /// externally synchronized like counting_.
-    std::uint32_t delta_seq_ = 1;
-    std::uint64_t updates_sent_ = 0;
-    std::atomic<std::uint64_t> updates_applied_{0};
-    std::atomic<std::uint64_t> updates_rejected_{0};
-    std::atomic<std::uint64_t> divergences_{0};
-    std::atomic<std::uint64_t> resyncs_{0};
-    // Registry mirrors of the member counters, labeled node=<id>
-    // (docs/OBSERVABILITY.md).
+    // The node's counts, labeled node=<id> (docs/OBSERVABILITY.md).
     obs::Counter metric_updates_sent_;
     obs::Counter metric_updates_applied_;
     obs::Counter metric_updates_rejected_;

@@ -189,30 +189,17 @@ MiniProxy::MiniProxy(MiniProxyConfig config)
     if (uses_summaries(config_.mode)) {
         // Warm restart (docs/STORAGE.md): fold the recovered disk
         // directory into the counting Bloom filter BEFORE wiring hooks,
-        // so the recovered baseline never lands in the delta journal — it
-        // is announced wholesale via broadcast_full_summary() instead.
-        // Pre-thread, so node_mu_ is not needed yet.
+        // so the recovered baseline is never streamed as a delta — the
+        // siblings' DIRREQs fetch it whole.
         if (cache_.has_disk_tier() && cache_.document_count() > 0)
             (void)node_.rebuild_from_directory(cache_);
-        // Hooks run under the cache mutex, so they must only take leaf
-        // locks: they append to the batcher journal and nothing more.
-        // sync_node_locked() mirrors the journal into node_ later, from
-        // every path that reads the counting filter.
-        cache_.set_insert_hook([this](const LruCache::Entry& e) {
-            engine_.batcher().record_insert(e.url);
-        });
-        cache_.set_removal_hook([this](const LruCache::Entry& e) {
-            engine_.batcher().record_erase(e.url);
-        });
-    }
-}
-
-void MiniProxy::sync_node_locked() {
-    for (const auto& op : engine_.batcher().drain_journal()) {
-        if (op.insert)
-            node_.on_cache_insert(op.url);
-        else
-            node_.on_cache_erase(op.url);
+        // Every insertion and replacement updates the counting filter
+        // (Section V-C). Hooks run under the store's locks; the node's
+        // filter lock is a leaf, so a flush may still call into the cache.
+        cache_.set_insert_hook(
+            [this](const LruCache::Entry& e) { node_.on_cache_insert(e.url); });
+        cache_.set_removal_hook(
+            [this](const LruCache::Entry& e) { node_.on_cache_erase(e.url); });
     }
 }
 
@@ -243,19 +230,15 @@ void MiniProxy::add_sibling(NodeId id, Endpoint icp, Endpoint http) {
         for (const auto& s : *cur)
             if (s->id != id) table->push_back(s);
         table->push_back(std::make_shared<Sibling>(id, icp, http));
-        const bool is_new = table->size() > cur->size();
+        joined_running_mesh = table->size() > cur->size() && started_.load();
         siblings_.store(std::shared_ptr<const SiblingTable>(std::move(table)),
                         std::memory_order_release);
-        if (is_new && started_.load()) {
-            joined_running_mesh = true;
-            if (config_.mode == ShareMode::summary) pending_bootstrap_.push_back(id);
-        }
     }
     if (joined_running_mesh) {
         obs::trace(obs::TraceEventType::sibling_joined,
                    static_cast<std::uint16_t>(config_.id), id);
         obs_.siblings_joined.inc();
-        wake_loop();  // the event loop bootstraps the newcomer promptly
+        wake_loop();  // the repair sweep DIRREQs the newcomer promptly
     }
 }
 
@@ -300,17 +283,6 @@ void MiniProxy::stop() {
         obs_.open_sessions.add(-1);
     }
     sessions_.clear();
-}
-
-void MiniProxy::broadcast_full_summary() {
-    if (config_.mode != ShareMode::summary) return;
-    const auto sibs = sibling_snapshot();
-    const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
-    sync_node_locked();  // the bitmap must reflect every journaled insert
-    const auto msgs = node_.encode_full_update_chunks();
-    obs_.updates_sent.inc(msgs.size() * sibs->size());
-    for (const auto& msg : msgs)
-        for (const auto& s : *sibs) udp_.send_to(s->icp, msg);
 }
 
 std::size_t MiniProxy::cached_documents() const { return cache_.document_count(); }
@@ -378,7 +350,10 @@ SC_EVENT_LOOP_ONLY void MiniProxy::send_keepalives_and_check_liveness() {
         // with.
         for (const auto& s : *sibs)
             if (s->alive.load(std::memory_order_relaxed)) request_resync(*s);
-        enqueue_task([this] { discard_unsent_deltas(); });
+        // Nobody consumes our deltas: drop the log so it stays bounded
+        // even when no sibling pulls. It takes no sequence number and
+        // sends nothing, so it needs no node_mu_.
+        enqueue_task([this] { node_.discard_delta(); });
     }
 
     const auto deadline = config_.keepalive_interval * config_.liveness_strikes;
@@ -399,20 +374,13 @@ SC_EVENT_LOOP_ONLY void MiniProxy::note_heard_from(NodeId sender) {
     if (!sib) return;
     sib->last_heard = std::chrono::steady_clock::now();
     if (!sib->alive.load(std::memory_order_relaxed)) {
-        // Recovery (Section VI-B): the peer is back; reinitialize its view
-        // of us with a full bitmap.
+        // Recovery (Section VI-B): the peer is back. Its replica was
+        // forgotten at death, so the repair sweep pulls it afresh; the
+        // peer reinitializes its view of us the same way, by DIRREQ.
         sib->alive.store(true, std::memory_order_relaxed);
         obs::trace(obs::TraceEventType::sibling_recovered,
                    static_cast<std::uint16_t>(config_.id), sib->id);
         obs_.sibling_recovery_events.inc();
-        if (config_.mode == ShareMode::summary) {
-            // The bitmap encode takes node_mu_ and can be megabytes of
-            // work — never on the event loop. Hand it to a worker; and
-            // since we dropped the peer's replica at death, pull its
-            // current directory right back (rate-limited).
-            enqueue_task([this, sender] { push_full_summary_to(sender); });
-            request_resync(*sib);
-        }
     }
 }
 
@@ -451,7 +419,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::maybe_learn_sibling(NodeId id, Endpoint icp,
     // introduction fan-out below cannot include the newcomer itself.
     const auto veterans = sibling_snapshot();
     // The ICP endpoint plus the advertised HTTP port is everything a
-    // sibling entry needs; add_sibling queues the bootstrap push + DIRREQ.
+    // sibling entry needs; the repair sweep then DIRREQs its summary.
     add_sibling(id, icp, Endpoint{icp.host, http_port});
     // Membership exchange (the Traffic Server ClusterCom idiom): vouch for
     // the newcomer to every veteran and for every veteran to the newcomer.
@@ -484,7 +452,6 @@ void MiniProxy::push_full_summary_to(NodeId id) {
     const auto sib = find_sibling(id);
     if (!sib) return;  // left the mesh while the task was queued
     const MutexLock lock(node_mu_);  // send in sequence order (see node_mu_)
-    sync_node_locked();  // the bitmap must reflect every journaled insert
     const auto msgs = node_.encode_full_update_chunks();
     obs_.resync_fulls_sent.inc(msgs.size());
     for (const auto& msg : msgs) udp_.send_to(sib->icp, msg);
@@ -499,12 +466,6 @@ void MiniProxy::broadcast_seq_heartbeat() {
     const auto payload = node_.encode_seq_heartbeat();
     for (const auto& s : *sibs)
         if (s->alive.load(std::memory_order_relaxed)) udp_.send_to(s->icp, payload);
-}
-
-void MiniProxy::discard_unsent_deltas() {
-    const MutexLock lock(node_mu_);
-    sync_node_locked();
-    node_.discard_delta();
 }
 
 void MiniProxy::enqueue_task(std::function<void()> task) {
@@ -676,7 +637,6 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
     backend_->add(wake_pipe_.read_fd, true, false, kWakeTag);
     std::vector<net::ReadyEvent> ready;
     std::vector<Completion> done;
-    std::vector<NodeId> joined;
     while (!stopping_.load()) {
         const auto now = std::chrono::steady_clock::now();
         send_keepalives_and_check_liveness();
@@ -687,26 +647,14 @@ SC_EVENT_LOOP_ONLY void MiniProxy::run() {
         auto deadline = next_keepalive_;
         if (config_.idle_timeout.count() > 0) deadline = std::min(deadline, next_idle_sweep_);
         if (uses_summaries(config_.mode)) {
-            // Bootstrap runtime joiners: push them our bitmap, pull theirs
-            // (summary mode only: add_sibling queues none otherwise).
-            joined.clear();
-            {
-                const MutexLock lock(membership_mu_);
-                joined.swap(pending_bootstrap_);
-            }
-            for (const NodeId id : joined) {
-                if (const auto sib = find_sibling(id)) {
-                    enqueue_task([this, id] { push_full_summary_to(id); });
-                    request_resync(*sib);
-                }
-            }
             // Repair sweep: any live peer whose update stream is unsynced
-            // (boot, quarantine after a gap, lost DIRREQ or lost full)
-            // gets another DIRREQ, rate-limited per peer — this is what
-            // makes summary distribution converge under loss, and what
-            // makes a digest puller's first pull at boot. While any
-            // peer is unsynced, wake again when its rate limit next opens
-            // instead of sleeping until the keepalive tick.
+            // gets a DIRREQ, rate-limited per peer, and its answer is the
+            // only way a replica is built. That covers boot, a runtime
+            // joiner, a recovered or restarted peer, quarantine after a
+            // gap, a lost DIRREQ or lost full, and a digest puller's
+            // first pull. While any peer is unsynced, wake again when its
+            // rate limit next opens instead of sleeping until the
+            // keepalive tick.
             const auto sibs = sibling_snapshot();
             for (const auto& s : *sibs)
                 if (s->alive.load(std::memory_order_relaxed) &&
@@ -1260,7 +1208,6 @@ void MiniProxy::broadcast_updates() {
     const auto flushed = engine_.maybe_flush(0.0, [this] {
         const auto sibs = sibling_snapshot();
         const MutexLock lock(node_mu_);
-        sync_node_locked();
         const auto msgs = node_.encode_pending_updates();
         for (const auto& msg : msgs)
             for (const auto& s : *sibs) udp_.send_to(s->icp, msg);

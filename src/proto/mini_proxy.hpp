@@ -116,7 +116,8 @@ struct MiniProxyConfig {
     /// Liveness (Section VI-B): SECHO probes every interval; a sibling
     /// that stays silent for liveness_strikes intervals is declared dead
     /// (its summary replica is dropped); the first datagram heard from it
-    /// again triggers recovery — we push it a fresh full summary.
+    /// again marks it recovered, and the repair sweep pulls its summary
+    /// afresh with a DIRREQ.
     std::chrono::milliseconds keepalive_interval{500};
     int liveness_strikes = 3;
 
@@ -134,8 +135,9 @@ struct MiniProxyConfig {
 
     /// Learn unknown peers at runtime (summary mode): a SECHO or DIRREQ
     /// from an address we don't know — carrying the peer's HTTP port in
-    /// the header options — adds it as a sibling, pushes it our full
-    /// bitmap, and DIRREQs its summary. Joiners only need to know us.
+    /// the header options — adds it as a sibling, and the repair sweep
+    /// DIRREQs its summary (its own DIRREQ fetches ours). Joiners only
+    /// need to know us.
     bool dynamic_membership = true;
 
     /// Send-side UDP fault injection (deterministic loss/duplicate/reorder
@@ -197,9 +199,10 @@ public:
     [[nodiscard]] net::EventBackendKind event_backend_kind() const { return backend_kind_; }
 
     /// Register a sibling. Safe before OR after start(): a runtime join
-    /// publishes a new sibling-table snapshot (RCU), and in summary mode
-    /// the event loop bootstraps the newcomer (full bitmap push + DIRREQ)
-    /// on its next tick. Re-adding a known id updates its endpoints.
+    /// publishes a new sibling-table snapshot (RCU) and wakes the event
+    /// loop, whose repair sweep DIRREQs the newcomer's summary (the
+    /// newcomer's own DIRREQ fetches ours). Re-adding a known id updates
+    /// its endpoints.
     void add_sibling(NodeId id, Endpoint icp, Endpoint http);
 
     /// Launch the event loop and worker pool. Idempotent.
@@ -207,10 +210,6 @@ public:
 
     /// Stop and join. Idempotent; the destructor calls it.
     void stop();
-
-    /// Send a full-bitmap summary to every sibling immediately (bootstrap
-    /// or recovery, Section VI-B). Only meaningful in summary mode.
-    void broadcast_full_summary();
 
     // Counts: read the obs registry, labelled {node, mode}
     // (docs/OBSERVABILITY.md).
@@ -373,19 +372,16 @@ private:
     /// propagates transitively from one point of contact. Event loop
     /// only; no-op unless config allows it.
     void maybe_learn_sibling(NodeId id, Endpoint icp, std::uint16_t http_port);
-    /// Encode our full bitmap (chunked) and send it to one peer. Runs on
-    /// a worker (takes node_mu_; must never run on the event loop).
+    /// Encode our full bitmap (chunked) and send it to one peer: the
+    /// answer to its DIRREQ, and the only way a sibling's replica of us is
+    /// built. Runs on a worker (takes node_mu_; must never run on the
+    /// event loop).
     void push_full_summary_to(NodeId id);
     /// Send every live sibling a sequence heartbeat (empty delta carrying
     /// the next delta sequence) so a receiver that lost the tail of the
     /// stream detects the gap and resyncs. Worker-only (takes node_mu_);
     /// enqueued from the keepalive tick in summary mode.
     void broadcast_seq_heartbeat();
-    /// digest_pull: nobody consumes our deltas, so drain the journal into
-    /// the counting filter (what a pull serves) and drop the delta log,
-    /// keeping both bounded even when no sibling pulls. Worker-only (takes
-    /// node_mu_); enqueued from the keepalive tick.
-    void discard_unsent_deltas();
     /// Queue a closure for the worker pool (drained before request jobs).
     void enqueue_task(std::function<void()> task);
 
@@ -415,39 +411,28 @@ private:
     /// thread mutates the cache; the event loop only uses the RAM-index
     /// read path (contains / entry_copy), never a disk-touching call.
     store::TieredCacheStore cache_;
-    /// Guards node_'s LOCAL side (the counting filter and update
-    /// encoding): workers and the event loop both touch that state.
-    /// Sibling-replica writes (`apply_sibling_update` / `forget_sibling`)
-    /// and reads (`promising_peers` on the request path) are internally
-    /// synchronized by the node's RCU snapshots and need no node_mu_. The
-    /// cache hooks never take this lock — they only append to the engine's
-    /// DeltaBatcher journal (a leaf lock), and sync_node_locked() later
-    /// mirrors the journal into node_ under node_mu_, outside the cache
-    /// shard mutexes — so node_mu_ and the shard mutexes are unordered
-    /// and a flush may freely call back into the cache. It also orders
-    /// the update stream: every delta, heartbeat and full bitmap takes its
-    /// sequence number and is sent under one hold of node_mu_, so
-    /// sequence numbers leave this proxy in order.
+    /// Orders the update stream: every delta flush, heartbeat and full
+    /// bitmap takes its sequence number and is sent under one hold of
+    /// node_mu_, so sequence numbers leave this proxy in order. It guards
+    /// no state — node_ locks its own counting filter — and nothing under
+    /// it calls into the cache. Lock order: store locks and node_mu_ both
+    /// come before the node's leaf lock.
     mutable Mutex node_mu_;
-    /// Also the engine's core::PeerDirectory: the replica probe is
-    /// lock-free (the node publishes immutable snapshots RCU-style), so
-    /// the request path consults it without touching node_mu_ at all.
+    /// The cache hooks write it directly (on_cache_insert/on_cache_erase
+    /// take only the node's leaf lock). Also the engine's
+    /// core::PeerDirectory: the replica probe is lock-free (the node
+    /// publishes immutable snapshots RCU-style), so the request path
+    /// consults it without taking any lock.
     SummaryCacheNode node_;
     /// The shared decision pipeline (same object the simulators drive).
     /// Its DeltaBatcher elects one flusher per threshold crossing, so
     /// concurrent workers' inserts coalesce into a single update batch.
     core::ProtocolEngine engine_;
-    /// Mirror journaled cache-hook events into node_.
-    void sync_node_locked() SC_REQUIRES(node_mu_);
     /// Serializes membership WRITES (add_sibling from any thread vs the
     /// event loop learning a peer); reads go through sibling_snapshot()
     /// and never take it. Leaf lock: nothing is acquired under it.
     mutable Mutex membership_mu_;
     std::atomic<std::shared_ptr<const SiblingTable>> siblings_;
-    /// Siblings added at runtime, awaiting their summary-mode bootstrap
-    /// (full push + DIRREQ) from the event loop. Guarded by
-    /// membership_mu_; drained each loop tick.
-    std::vector<NodeId> pending_bootstrap_ SC_GUARDED_BY(membership_mu_);
     ReplyDemux demux_;  ///< routes ICP replies to the querying worker
     /// Seeded per-boot so a restarted proxy's rounds never collide with
     /// replies still in flight toward its predecessor's numbers.
@@ -467,7 +452,8 @@ private:
     Mutex jobs_mu_;
     CondVar jobs_cv_;
     std::deque<Job> job_queue_ SC_GUARDED_BY(jobs_mu_);
-    /// Control-plane closures (full-summary pushes for resync/recovery).
+    /// Control-plane closures (DIRREQ answers, sequence heartbeats,
+    /// digest_pull delta discards).
     /// Workers drain these before request jobs so repair traffic is not
     /// head-of-line blocked behind slow fetches.
     std::deque<std::function<void()>> task_queue_ SC_GUARDED_BY(jobs_mu_);

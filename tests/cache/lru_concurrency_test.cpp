@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/delta_batcher.hpp"
+#include "core/summary_cache_node.hpp"
 
 namespace sc {
 namespace {
@@ -73,31 +73,27 @@ TEST(LruConcurrency, ParallelMixedOpsPreserveInvariants) {
 }
 
 // The production hook wiring under maximum contention: a sharded cache
-// hammered by the worker pool while its hooks journal every directory
-// event into the DeltaBatcher (the leaf lock of docs/PROTOCOL.md), with a
-// drainer thread playing the elected flusher. TSan validates the shard
-// locks and the journal handoff; the final accounting check holds in any
-// build: journaled inserts minus erases must equal the resident count.
-TEST(LruConcurrency, ShardedOpsJournalThroughBatcherHooks) {
+// hammered by the worker pool while its hooks write every directory event
+// into a SummaryCacheNode's counting filter (the leaf lock of
+// docs/PROTOCOL.md), with an encoder thread playing the elected flusher.
+// TSan validates the shard locks against the node's lock; the final check
+// holds in any build: the node's bitmap equals one rebuilt from the
+// resident set, so no hook event was lost or applied twice.
+TEST(LruConcurrency, ShardedOpsWriteNodeThroughHooks) {
     constexpr int kThreads = 8;
     constexpr int kOpsPerThread = 4000;
     constexpr std::uint64_t kUrls = 256;
     constexpr std::uint64_t kObjBytes = 1000;
+    const SummaryCacheNodeConfig node_cfg{.node_id = 1, .expected_docs = kUrls, .bloom = {}};
     LruCache cache(LruCacheConfig{64 * kObjBytes, kObjBytes, /*shards=*/8});
-    core::DeltaBatcher batcher(core::DeltaBatcherConfig{0.01, 0.0, 0});
-    cache.set_insert_hook(
-        [&batcher](const LruCache::Entry& e) { batcher.record_insert(e.url); });
-    cache.set_removal_hook(
-        [&batcher](const LruCache::Entry& e) { batcher.record_erase(e.url); });
+    SummaryCacheNode node(node_cfg);
+    cache.set_insert_hook([&node](const LruCache::Entry& e) { node.on_cache_insert(e.url); });
+    cache.set_removal_hook([&node](const LruCache::Entry& e) { node.on_cache_erase(e.url); });
 
     std::atomic<bool> stop{false};
-    std::int64_t drained_balance = 0;  // inserts - erases seen by the drainer
-    std::thread drainer([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            const auto ops = batcher.drain_journal();
-            if (ops.empty()) std::this_thread::yield();
-            for (const auto& op : ops) drained_balance += op.insert ? 1 : -1;
-        }
+    std::thread encoder([&] {
+        while (!stop.load(std::memory_order_acquire))
+            if (node.encode_pending_updates().empty()) std::this_thread::yield();
     });
 
     std::vector<std::thread> threads;
@@ -122,9 +118,7 @@ TEST(LruConcurrency, ShardedOpsJournalThroughBatcherHooks) {
     }
     for (auto& th : threads) th.join();
     stop.store(true, std::memory_order_release);
-    drainer.join();
-    for (const auto& op : batcher.drain_journal())  // anything after the last sweep
-        drained_balance += op.insert ? 1 : -1;
+    encoder.join();
 
     std::uint64_t walked_bytes = 0;
     std::size_t walked_count = 0;
@@ -135,7 +129,9 @@ TEST(LruConcurrency, ShardedOpsJournalThroughBatcherHooks) {
     EXPECT_EQ(walked_count, cache.document_count());
     EXPECT_EQ(walked_bytes, cache.used_bytes());
     EXPECT_LE(cache.used_bytes(), cache.capacity_bytes());
-    EXPECT_EQ(drained_balance, static_cast<std::int64_t>(cache.document_count()));
+    SummaryCacheNode rebuilt(node_cfg);
+    (void)rebuilt.rebuild_from_directory(cache);
+    EXPECT_EQ(node.local_bits(), rebuilt.local_bits());
     EXPECT_GE(cache.eviction_count(), 1u);
 }
 

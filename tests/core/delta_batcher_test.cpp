@@ -1,18 +1,19 @@
 // DeltaBatcher: the §V-A update-delay policies (migrated here from the
 // old UpdateThresholdPolicy/TimeIntervalPolicy), the §VI-B packet floor,
-// flush-epoch election under contention, and the hook-journal locking
+// flush-epoch election under contention, and the hooks -> node locking
 // regression (run under TSan in CI).
 #include "core/delta_batcher.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/lru_cache.hpp"
+#include "core/summary_cache_node.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace sc::core {
 namespace {
@@ -112,58 +113,50 @@ TEST(DeltaBatcher, ConcurrentInsertersCoalesceIntoFlushEpochs) {
     EXPECT_GE(b.epoch(), 1u);
 }
 
-TEST(DeltaBatcher, JournalPreservesOrder) {
+TEST(DeltaBatcher, NodeHooksCannotDeadlockWithReentrantFlush) {
+    // Deadlock regression (run under TSan in CI). The cache hooks write
+    // the node's counting filter under the cache mutex (cache-mutex ->
+    // node leaf lock); the flusher encodes under its send mutex
+    // (send-mutex -> node leaf lock) and then calls back into the cache
+    // (document_count, even insert-with-eviction, which fires removal
+    // hooks from THIS thread) while another thread inserts concurrently.
+    // That is deadlock-free because the node's lock is a leaf: nothing is
+    // called while it is held.
+    const SummaryCacheNodeConfig node_cfg{.node_id = 1, .expected_docs = 64, .bloom = {}};
     DeltaBatcher b(threshold_cfg(0.0));
-    b.record_insert("a");
-    b.record_erase("a");
-    b.record_insert("b");
-    const auto ops = b.drain_journal();
-    ASSERT_EQ(ops.size(), 3u);
-    EXPECT_TRUE(ops[0].insert);
-    EXPECT_EQ(ops[0].url, "a");
-    EXPECT_FALSE(ops[1].insert);
-    EXPECT_EQ(ops[1].url, "a");
-    EXPECT_TRUE(ops[2].insert);
-    EXPECT_EQ(ops[2].url, "b");
-    EXPECT_TRUE(b.journal_empty());
-}
-
-TEST(DeltaBatcher, HookJournalCannotDeadlockWithReentrantFlush) {
-    // Deadlock regression (run under TSan in CI). The old design had the
-    // cache hooks lock the node mutex (cache-mutex -> node-mutex) while a
-    // flush under the node mutex wanted cache state (node-mutex ->
-    // cache-mutex): a classic inversion. The journal breaks it — hooks
-    // only touch the leaf journal lock, so a flusher may freely call back
-    // into the cache (document_count, even insert-with-eviction, which
-    // fires removal hooks) while another thread inserts concurrently.
-    DeltaBatcher b(threshold_cfg(0.0));
+    SummaryCacheNode node(node_cfg);
     LruCache cache(LruCacheConfig{32 * 1024, 8 * 1024});  // tiny: evictions fire
-    cache.set_insert_hook([&b](const LruCache::Entry& e) { b.record_insert(e.url); });
-    cache.set_removal_hook([&b](const LruCache::Entry& e) { b.record_erase(e.url); });
+    cache.set_insert_hook([&node](const LruCache::Entry& e) { node.on_cache_insert(e.url); });
+    cache.set_removal_hook([&node](const LruCache::Entry& e) { node.on_cache_erase(e.url); });
+    Mutex send_mu;  // MiniProxy's node_mu_: encode and send under one hold
 
     std::atomic<bool> stop{false};
     std::thread inserter([&] {
         // Mirrors ProtocolEngine::admit: the cache insert fires the hook,
         // the accepted document counts toward the threshold.
-        for (int i = 0; !stop.load(std::memory_order_relaxed); ++i)
+        for (int i = 0; !stop.load(std::memory_order_acquire); ++i)
             if (cache.insert("ins/" + std::to_string(i), 4096, 1)) b.on_new_document();
     });
-    std::uint64_t drained = 0;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    for (int round = 0; drained < 2000; ++round) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "flush loop starved";
-        drained += b.drain_journal().size();
+    // A deadlock hangs here (ctest's timeout); TSan also reports any
+    // lock-order inversion the two threads exhibit.
+    for (int flushes = 0; flushes < 100;) {
         if (const auto batch = b.try_begin_flush(cache.document_count(), 0.0, 0)) {
+            {
+                const MutexLock lock(send_mu);
+                (void)node.encode_pending_updates();
+            }
             // The flush callback path re-enters the cache — including an
             // insert that evicts and fires hooks from THIS thread.
-            cache.insert("flush/" + std::to_string(round), 4096, 1);
+            cache.insert("flush/" + std::to_string(flushes++), 4096, 1);
             b.finish_flush(0.0, *batch);
         }
     }
-    stop.store(true);
+    stop.store(true, std::memory_order_release);
     inserter.join();
-    drained += b.drain_journal().size();
-    EXPECT_GE(drained, 2000u);
+    // No hook event was lost: the node's bitmap is the resident set's.
+    SummaryCacheNode rebuilt(node_cfg);
+    (void)rebuilt.rebuild_from_directory(cache);
+    EXPECT_EQ(node.local_bits(), rebuilt.local_bits());
 }
 
 }  // namespace

@@ -119,11 +119,13 @@ TEST(NodeReplicaConcurrency, SnapshotsAreNeverBlended) {
     // Probe keys that distinguish the two filters with certainty (skip
     // Bloom false positives up front, single-threaded).
     std::vector<std::string> odd_keys, even_keys;
+    const BloomFilter odd_bits = odd.local_bits();
+    const BloomFilter even_bits = even.local_bits();
     for (int i = 0; i < 64 && (odd_keys.size() < 8 || even_keys.size() < 8); ++i) {
         const std::string o = "odd" + std::to_string(i);
         const std::string e = "even" + std::to_string(i);
-        if (!even.local_filter().bits().may_contain(o)) odd_keys.push_back(o);
-        if (!odd.local_filter().bits().may_contain(e)) even_keys.push_back(e);
+        if (!even_bits.may_contain(o)) odd_keys.push_back(o);
+        if (!odd_bits.may_contain(e)) even_keys.push_back(e);
     }
     ASSERT_FALSE(odd_keys.empty());
     ASSERT_FALSE(even_keys.empty());

@@ -60,12 +60,12 @@ TEST(NodeResync, ElectionFlipsAtTheWireCrossover) {
     // must be elected (strictly cheaper or tied on the wire), above it the
     // full bitmap must win.
     const std::size_t words =
-        (SummaryCacheNode(cfg(0, 64)).local_filter().bits().spec().table_bits + 31) / 32;
+        (SummaryCacheNode(cfg(0, 64)).hash_spec().table_bits + 31) / 32;
 
     // Below the crossover: a handful of flips, popcount well under words.
     SummaryCacheNode low(cfg(1, 64));
     low.on_cache_insert("one-doc");
-    ASSERT_LE(low.local_filter().bits().popcount(), words);
+    ASSERT_LE(low.local_bits().popcount(), words);
     const auto low_msgs = low.encode_pending_updates();
     ASSERT_EQ(low_msgs.size(), 1u);
     EXPECT_FALSE(decode_dirupdate(low_msgs[0]).full);
@@ -73,7 +73,7 @@ TEST(NodeResync, ElectionFlipsAtTheWireCrossover) {
     // Above it: keep inserting until the popcount passes the word count;
     // now delta records alone outweigh the whole bitmap, before framing.
     SummaryCacheNode high(cfg(1, 64));
-    for (int i = 0; high.local_filter().bits().popcount() <= words; ++i) {
+    for (int i = 0; high.local_bits().popcount() <= words; ++i) {
         ASSERT_LT(i, 10'000);
         high.on_cache_insert("url" + std::to_string(i));
     }

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "support/metric_delta.hpp"
+
 namespace sc {
 namespace {
 
@@ -42,10 +44,11 @@ TEST(SummaryCacheNode, NoUpdatesWithoutDirectoryChurn) {
 
 TEST(SummaryCacheNode, UpdateEmittedForPendingChanges) {
     SummaryCacheNode node(cfg(1));
+    const test::MetricDelta counts;  // node ids repeat across tests
     node.on_cache_insert("http://a/1");
     const auto msgs = node.encode_pending_updates();
     EXPECT_FALSE(msgs.empty());
-    EXPECT_EQ(node.updates_sent(), msgs.size());
+    EXPECT_EQ(counts("sc_node_updates_sent_total", 1), msgs.size());
     // The delta log was consumed: nothing further is pending.
     EXPECT_TRUE(node.encode_pending_updates().empty());
 }
@@ -117,6 +120,7 @@ TEST(SummaryCacheNode, FullUpdateBootstrapsSibling) {
 TEST(SummaryCacheNode, DuplicatedUpdateDeliveryIsIdempotent) {
     SummaryCacheNode a(cfg(1));
     SummaryCacheNode b(cfg(2));
+    const test::MetricDelta counts;
     bootstrap(a, b);
     a.on_cache_insert("x");
     const auto msgs = a.encode_pending_updates();
@@ -127,7 +131,7 @@ TEST(SummaryCacheNode, DuplicatedUpdateDeliveryIsIdempotent) {
     // dropped — no double-apply, no quarantine.
     ASSERT_EQ(b.apply_sibling_update(update), SummaryApplyResult::duplicate);
     EXPECT_TRUE(b.sibling_may_contain(1, "x"));
-    EXPECT_EQ(b.replica_divergences(), 0u);
+    EXPECT_EQ(counts("sc_node_replica_divergence_total", 2), 0u);
     const std::shared_ptr<const BloomFilter> f = b.sibling_filter(1);
     ASSERT_NE(f, nullptr);
     EXPECT_LE(f->popcount(), 4u);  // absolute values: no double-set effects
@@ -136,6 +140,7 @@ TEST(SummaryCacheNode, DuplicatedUpdateDeliveryIsIdempotent) {
 TEST(SummaryCacheNode, LostUpdateQuarantinesUntilResync) {
     SummaryCacheNode a(cfg(1));
     SummaryCacheNode b(cfg(2));
+    const test::MetricDelta counts;
     bootstrap(a, b);
     a.on_cache_insert("first");
     (void)a.encode_pending_updates();  // "lost" in the network
@@ -147,7 +152,7 @@ TEST(SummaryCacheNode, LostUpdateQuarantinesUntilResync) {
     EXPECT_EQ(b.apply_sibling_update(decode_dirupdate(msgs[0])),
               SummaryApplyResult::gap);
     EXPECT_EQ(b.known_siblings(), 0u);
-    EXPECT_EQ(b.replica_divergences(), 1u);
+    EXPECT_EQ(counts("sc_node_replica_divergence_total", 2), 1u);
     EXPECT_TRUE(b.sibling_needs_resync(1));
     // Further deltas while quarantined are withheld, not applied.
     a.on_cache_insert("third");
@@ -159,7 +164,7 @@ TEST(SummaryCacheNode, LostUpdateQuarantinesUntilResync) {
     // tallies every full-bitmap sync that established a replica.)
     ASSERT_EQ(b.apply_sibling_update(decode_dirupdate(a.encode_full_update())),
               SummaryApplyResult::applied);
-    EXPECT_EQ(b.resyncs(), 2u);
+    EXPECT_EQ(counts("sc_node_resyncs_total", 2), 2u);
     EXPECT_FALSE(b.sibling_needs_resync(1));
     EXPECT_TRUE(b.sibling_may_contain(1, "first"));
     EXPECT_TRUE(b.sibling_may_contain(1, "second"));
@@ -279,6 +284,7 @@ TEST(SummaryCacheNode, ElectedFullConsumesASequenceSlot) {
 TEST(SummaryCacheNode, DeltaWithMismatchedSpecRejected) {
     SummaryCacheNode a(cfg(1));
     SummaryCacheNode b(cfg(2));
+    const test::MetricDelta counts;
     bootstrap(a, b);
     a.on_cache_insert("x");
     auto msgs = a.encode_pending_updates();
@@ -290,7 +296,7 @@ TEST(SummaryCacheNode, DeltaWithMismatchedSpecRejected) {
     update.records.clear();
     update.request_number += 1;  // in sequence — the spec is what is wrong
     EXPECT_EQ(b.apply_sibling_update(update), SummaryApplyResult::rejected);
-    EXPECT_EQ(b.updates_rejected(), 1u);
+    EXPECT_EQ(counts("sc_node_updates_rejected_total", 2), 1u);
     // But a full update with the new spec re-creates the replica.
     update.full = true;
     update.bitmap_words.assign((update.spec.table_bits + 31) / 32, 0);
@@ -336,8 +342,9 @@ TEST(SummaryCacheNode, WireRoundTripPreservesFilterExactly) {
               SummaryApplyResult::applied);
     const std::shared_ptr<const BloomFilter> replica = b.sibling_filter(1);
     ASSERT_NE(replica, nullptr);
-    EXPECT_EQ(replica->popcount(), a.local_filter().bits().popcount());
-    EXPECT_EQ(*replica, a.local_filter().bits());
+    const BloomFilter local = a.local_bits();
+    EXPECT_EQ(replica->popcount(), local.popcount());
+    EXPECT_EQ(*replica, local);
 }
 
 }  // namespace

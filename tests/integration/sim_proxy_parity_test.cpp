@@ -15,7 +15,7 @@
 //     instantaneous by construction).
 // The proxies still run with --workers 4: successive requests land on
 // different pipeline workers, so the engine's flush election and the
-// journaled directory hooks are exercised off the main thread.
+// directory hooks writing the node are exercised off the main thread.
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -114,9 +114,9 @@ TEST_F(WarmRestartTest, KillAndRestartRebuildsDirectoryAndSummary) {
     EXPECT_EQ(local.errors, 0u);
     EXPECT_EQ(local.local_hits, kDocs);
 
-    // The rebuilt counting filter is the node's advertised summary:
-    // broadcast it and the fresh sibling must predict every recovered URL.
-    a2->broadcast_full_summary();
+    // The rebuilt counting filter is the node's advertised summary: the
+    // boot pull of B' (DIRREQ -> DIRFULL) fetches it, and the fresh
+    // sibling must predict every recovered URL.
     ASSERT_TRUE(
         test::eventually([&] { return b2_counts("sc_node_updates_applied_total", 2) > 0; }))
         << "B' never received the recovered summary";

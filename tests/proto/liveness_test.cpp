@@ -111,8 +111,8 @@ TEST(Liveness, RecoveredSiblingGetsFullSummary) {
     std::this_thread::sleep_for(500ms);
     ASSERT_GE(counts("sc_proxy_sibling_death_events_total", 1), 1u);
 
-    // Restart b on the same ports; its keepalives reach a, which must
-    // mark it recovered and push a full summary refresh.
+    // Restart b on the same ports; its boot DIRREQ reaches a, which must
+    // mark it recovered and answer with its full summary.
     MiniProxyConfig cfg_b2 = fast_liveness_cfg(2, origin.endpoint());
     cfg_b2.http_port = b_http;
     cfg_b2.icp_port = b_icp;

@@ -53,9 +53,10 @@ TEST(MeshMembership, RuntimeJoinConvergesWithoutRestart) {
     b->start();
     EXPECT_EQ(get(*a, "http://joined/doc"), HttpLiteStatus::miss);
 
-    // Only a is told about b, at runtime. a pushes its full bitmap and
-    // DIRREQs b's; the DIRREQ carries a's HTTP port, so b learns a as a
-    // sibling without any restart or config change.
+    // Only a is told about b, at runtime. a's repair sweep DIRREQs b's
+    // bitmap; the DIRREQ carries a's HTTP port, so b learns a as a
+    // sibling without any restart or config change, and b's own sweep
+    // DIRREQs a's bitmap in turn.
     a->add_sibling(2, b->icp_endpoint(), b->http_endpoint());
     EXPECT_TRUE(eventually([&] {
         return b->sibling_replica_predicts(1, "http://joined/doc") &&
@@ -177,8 +178,8 @@ TEST(MeshMembership, DeadSiblingReplicaDroppedAndRebuiltOnRejoin) {
     }));
     EXPECT_FALSE(p->sibling_replica_predicts(77, "http://fake/doc"));
 
-    // Rejoin: the first datagram heard revives it, and the recovery
-    // machinery (push + DIRREQ + the fake's answer) rebuilds the replica.
+    // Rejoin: the first datagram heard revives it, and the fake's full
+    // bitmap (what the sweep's DIRREQ asks for) rebuilds the replica.
     send_full();
     EXPECT_TRUE(eventually([&] {
         return p->synced_replicas() == 1 &&

@@ -164,26 +164,17 @@ TEST(MiniProxy, StaleSiblingCopyFallsBackToOrigin) {
     EXPECT_EQ(fed.counts("sc_proxy_remote_hits_total", 2), 0u);
 }
 
-TEST(MiniProxy, FullSummaryBroadcastBootstrapsSiblings) {
-    // Load proxy 0 before anyone is listening, then broadcast the full
-    // bitmap — the Squid-style recovery path.
+TEST(MiniProxy, BootPullBootstrapsLateSibling) {
+    // Proxy 0 caches a document before proxy 1 exists. Proxy 1 boots and
+    // its repair sweep DIRREQs proxy 0, whose chunked DIRFULL answer seeds
+    // the replica; proxy 0 pulls the newcomer's summary the same way.
     auto origin = std::make_unique<OriginServer>(OriginServer::Config{});
     MiniProxyConfig cfg0;
     cfg0.id = 1;
     cfg0.origin = origin->endpoint();
     cfg0.mode = ShareMode::summary;
-    cfg0.update_threshold = 1.0;  // suppress incremental updates
     auto p0 = std::make_unique<MiniProxy>(cfg0);
-
-    MiniProxyConfig cfg1 = cfg0;
-    cfg1.id = 2;
-    auto p1 = std::make_unique<MiniProxy>(cfg1);
-    const test::MetricDelta counts;
-
-    p0->add_sibling(2, p1->icp_endpoint(), p1->http_endpoint());
-    p1->add_sibling(1, p0->icp_endpoint(), p0->http_endpoint());
     p0->start();
-    p1->start();
 
     const auto get = [&](MiniProxy& p, const std::string& url) {
         TcpConnection c = TcpConnection::connect(p.http_endpoint());
@@ -192,13 +183,24 @@ TEST(MiniProxy, FullSummaryBroadcastBootstrapsSiblings) {
         c.discard_exact(header->size);
         return header->status;
     };
-
     EXPECT_EQ(get(*p0, "http://warm/doc"), HttpLiteStatus::miss);
-    p0->stop();  // quiesce so broadcast_full_summary may touch node state
-    p0->broadcast_full_summary();
-    EXPECT_TRUE(test::eventually([&] { return p1->sibling_replica_predicts(1, "http://warm/doc"); }));
-    EXPECT_GE(counts("sc_node_updates_applied_total", 2), 1u);
+
+    MiniProxyConfig cfg1 = cfg0;
+    cfg1.id = 2;
+    auto p1 = std::make_unique<MiniProxy>(cfg1);
+    const test::MetricDelta counts;
+    p0->add_sibling(2, p1->icp_endpoint(), p1->http_endpoint());  // a runtime join
+    p1->add_sibling(1, p0->icp_endpoint(), p0->http_endpoint());
+    p1->start();
+
+    EXPECT_TRUE(test::eventually([&] {
+        return p1->sibling_replica_predicts(1, "http://warm/doc") && p0->synced_replicas() == 1;
+    }));
+    EXPECT_GE(counts("sc_proxy_resync_fulls_sent_total", 1), 1u);
+    EXPECT_GE(counts("sc_node_resyncs_total", 2), 1u);
+    EXPECT_EQ(get(*p1, "http://warm/doc"), HttpLiteStatus::remote_hit);
     p1->stop();
+    p0->stop();
     origin->stop();
 }
 

@@ -5,7 +5,7 @@
 // Scenario: the MiniProxy worker-pool request path with the transport
 // stripped away — a shared ProtocolEngine over a sharded LruCache whose
 // hooks write the SummaryCacheNode's counting filter, probing four sibling
-// replicas held by that node as lock-free snapshots. Every op is one
+// replicas held by that node under its replica lock. Every op is one
 // request: local lookup, and on a miss a replica probe plus admit, with
 // the delta log dropped periodically the way the elected flusher takes it.
 //
@@ -15,8 +15,8 @@
 //      with a note when hardware_concurrency() < 4 — a single-core box
 //      serializes both configs; the multi-core CI runner is the evidence.
 //   2. Zero-allocation probe: deriving the Bloom indexes (inline buffer),
-//      loading the replica snapshot, and probing every filter performs 0
-//      heap allocations per probe, counted by replaced operator new.
+//      locking the replicas, and probing every filter performs 0 heap
+//      allocations per probe, counted by replaced operator new.
 //
 // Also prints a 1/2/4/8/16-thread scaling table for the full path and
 // appends every measurement to BENCH_hotpath.json (see bench_json.hpp).
@@ -124,8 +124,8 @@ constexpr std::uint64_t kDocBytes = 8192;
 
 /// The proxy's request path with the sockets removed: engine + sharded
 /// cache + node-held sibling replicas, wired exactly like MiniProxy
-/// (cache hooks -> the node's counting filter; probes -> replica
-/// snapshots, the node itself being the engine's lock-free PeerDirectory).
+/// (cache hooks -> the node's counting filter; probes -> the node's
+/// replicas, the node itself being the engine's PeerDirectory).
 struct HotPath {
     LruCache cache;
     SummaryCacheNode node;

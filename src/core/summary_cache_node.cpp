@@ -58,7 +58,6 @@ SummaryCacheNode::SummaryCacheNode(SummaryCacheNodeConfig config)
       spec_(spec_for(config)),
       counting_(spec_, config.bloom.counter_bits),
       boot_id_(make_boot_id(config.boot_id)) {
-    replicas_.store(std::make_shared<const ReplicaTable>(), std::memory_order_release);
     const obs::Labels labels{{"node", std::to_string(config_.node_id)}};
     metric_updates_sent_ = obs::metrics().counter(
         "sc_node_updates_sent_total", "SC-ICP update datagrams encoded for broadcast", labels);
@@ -67,9 +66,6 @@ SummaryCacheNode::SummaryCacheNode(SummaryCacheNodeConfig config)
     metric_updates_rejected_ = obs::metrics().counter(
         "sc_node_updates_rejected_total", "Sibling updates rejected (hash-spec mismatch)",
         labels);
-    metric_replica_swaps_ = obs::metrics().counter(
-        "sc_node_replica_swaps_total",
-        "Sibling replica snapshots atomically published (RCU swaps)", labels);
     metric_divergences_ = obs::metrics().counter(
         "sc_node_replica_divergence_total",
         "Sibling replicas dropped after a sequence gap or sender reboot", labels);
@@ -223,50 +219,20 @@ BloomFilter SummaryCacheNode::local_bits() const {
     return counting_.bits();
 }
 
-SummaryCacheNode::ReplicaTable::const_iterator SummaryCacheNode::find_replica(
-    const ReplicaTable& table, NodeId sibling) {
-    const auto pos =
-        std::lower_bound(table.begin(), table.end(), sibling,
-                         [](const auto& entry, NodeId id) { return entry.first < id; });
-    return (pos != table.end() && pos->first == sibling) ? pos : table.end();
-}
-
 SummaryApplyResult SummaryCacheNode::apply_sibling_update(const IcpDirUpdate& update) {
-    // RCU writer: build the successor snapshot off the published table,
-    // then swap it in. Readers keep probing the old snapshot meanwhile.
-    const MutexLock lock(replica_write_mu_);
+    const MutexLock lock(replica_mu_);
     return update.full ? apply_full_locked(update) : apply_delta_locked(update);
-}
-
-void SummaryCacheNode::store_replica_locked(NodeId sibling,
-                                            std::shared_ptr<BloomFilter> filter) {
-    const auto current = replicas_.load(std::memory_order_acquire);
-    auto pos = std::lower_bound(current->begin(), current->end(), sibling,
-                                [](const auto& entry, NodeId id) { return entry.first < id; });
-    const bool known = pos != current->end() && pos->first == sibling;
-    auto next = std::make_shared<ReplicaTable>(*current);
-    if (known)
-        (*next)[static_cast<std::size_t>(pos - current->begin())].second = std::move(filter);
-    else
-        next->insert(next->begin() + (pos - current->begin()), {sibling, std::move(filter)});
-    publish_replicas(std::move(next));
 }
 
 void SummaryCacheNode::quarantine_locked(NodeId sibling, PeerStream& stream,
                                          std::uint32_t boot_id) {
-    const auto current = replicas_.load(std::memory_order_acquire);
-    const auto pos = find_replica(*current, sibling);
-    if (pos != current->end()) {
-        auto next = std::make_shared<ReplicaTable>(*current);
-        next->erase(next->begin() + (pos - current->begin()));
-        publish_replicas(std::move(next));
-    }
     obs::trace(obs::TraceEventType::replica_quarantined,
                static_cast<std::uint16_t>(config_.node_id), sibling, stream.expected_seq);
     stream.boot_id = boot_id;
     stream.expected_seq = 0;
     stream.quarantined = true;
     stream.pending.reset();
+    stream.replica.reset();
     metric_divergences_.inc();
 }
 
@@ -291,15 +257,13 @@ SummaryApplyResult SummaryCacheNode::apply_delta_locked(const IcpDirUpdate& upda
         quarantine_locked(sender, stream, update.boot_id);
         return SummaryApplyResult::gap;
     }
-    const auto current = replicas_.load(std::memory_order_acquire);
-    const auto pos = find_replica(*current, sender);
-    if (pos != current->end() && pos->second->spec() != update.spec) {
+    if (stream.replica && stream.replica->spec() != update.spec) {
         metric_updates_rejected_.inc();
         obs::trace(obs::TraceEventType::summary_update_rejected,
                    static_cast<std::uint16_t>(config_.node_id), sender);
         return SummaryApplyResult::rejected;
     }
-    if (stream.quarantined || stream.expected_seq == 0 || pos == current->end())
+    if (stream.quarantined || stream.expected_seq == 0 || !stream.replica)
         return SummaryApplyResult::need_resync;
     if (update.request_number < stream.expected_seq) return SummaryApplyResult::duplicate;
     if (update.request_number > stream.expected_seq) {
@@ -317,12 +281,10 @@ SummaryApplyResult SummaryCacheNode::apply_delta_locked(const IcpDirUpdate& upda
         return SummaryApplyResult::duplicate;
     }
 
-    auto next_filter = std::make_shared<BloomFilter>(*pos->second);
     for (const std::uint32_t rec : update.records) {
         const BitFlip flip = decode_bit_flip(rec);
-        next_filter->set_bit(flip.index, flip.value);
+        stream.replica->set_bit(flip.index, flip.value);
     }
-    store_replica_locked(sender, std::move(next_filter));
     stream.expected_seq = update.request_number + 1;
 
     metric_updates_applied_.inc();
@@ -372,9 +334,8 @@ SummaryApplyResult SummaryCacheNode::apply_full_locked(const IcpDirUpdate& updat
         words = pending.words;
     }
 
-    auto next_filter = std::make_shared<BloomFilter>(update.spec);
-    apply_bitmap_words(*next_filter, words);
-    store_replica_locked(sender, std::move(next_filter));
+    stream.replica.emplace(update.spec);
+    apply_bitmap_words(*stream.replica, words);
     stream.boot_id = update.boot_id;
     stream.expected_seq = update.request_number;
     stream.quarantined = false;
@@ -388,47 +349,30 @@ SummaryApplyResult SummaryCacheNode::apply_full_locked(const IcpDirUpdate& updat
 }
 
 void SummaryCacheNode::forget_sibling(NodeId sibling) {
-    const MutexLock lock(replica_write_mu_);
+    const MutexLock lock(replica_mu_);
     streams_.erase(sibling);
-    const auto current = replicas_.load(std::memory_order_acquire);
-    const auto pos = find_replica(*current, sibling);
-    if (pos == current->end()) return;
-    auto next = std::make_shared<ReplicaTable>(*current);
-    next->erase(next->begin() + (pos - current->begin()));
-    publish_replicas(std::move(next));
 }
 
 bool SummaryCacheNode::sibling_needs_resync(NodeId sibling) const {
-    const MutexLock lock(replica_write_mu_);
+    const MutexLock lock(replica_mu_);
     const auto it = streams_.find(sibling);
     if (it == streams_.end()) return true;  // never heard a thing: bootstrap
     return it->second.quarantined || it->second.expected_seq == 0;
 }
 
-std::vector<NodeId> SummaryCacheNode::siblings_awaiting_resync() const {
-    const MutexLock lock(replica_write_mu_);
-    std::vector<NodeId> out;
-    for (const auto& [id, stream] : streams_)
-        if (stream.quarantined || stream.expected_seq == 0) out.push_back(id);
-    return out;
-}
-
-void SummaryCacheNode::publish_replicas(std::shared_ptr<const ReplicaTable> next) {
-    replicas_.store(std::move(next), std::memory_order_release);
-    metric_replica_swaps_.inc();
-}
-
 std::vector<NodeId> SummaryCacheNode::promising_siblings(std::string_view url) const {
-    const auto table = replicas_.load(std::memory_order_acquire);
-    std::vector<NodeId> out;
     // Hash once per distinct spec (normally all siblings share ours),
-    // into the inline buffer — no heap traffic on the probe path.
+    // into the inline buffer and before taking the lock — no heap
+    // traffic on the probe path.
     BloomIndexes own_indexes;
     bloom_indexes(url, spec_, own_indexes);
-    for (const auto& [id, filter] : *table) {
-        const bool promising = (filter->spec() == spec_)
-                                   ? filter->may_contain(own_indexes.span())
-                                   : filter->may_contain(url);
+    std::vector<NodeId> out;
+    const MutexLock lock(replica_mu_);
+    for (const auto& [id, stream] : streams_) {
+        if (!stream.replica) continue;
+        const BloomFilter& filter = *stream.replica;
+        const bool promising = (filter.spec() == spec_) ? filter.may_contain(own_indexes.span())
+                                                        : filter.may_contain(url);
         if (promising) out.push_back(id);
     }
     return out;
@@ -436,15 +380,22 @@ std::vector<NodeId> SummaryCacheNode::promising_siblings(std::string_view url) c
 
 SC_HOT_PATH bool SummaryCacheNode::sibling_may_contain(NodeId sibling,
                                                        std::string_view url) const {
-    const auto table = replicas_.load(std::memory_order_acquire);
-    const auto pos = find_replica(*table, sibling);
-    return pos != table->end() && pos->second->may_contain(url);
+    const MutexLock lock(replica_mu_);
+    const auto it = streams_.find(sibling);
+    return it != streams_.end() && it->second.replica && it->second.replica->may_contain(url);
 }
 
-std::shared_ptr<const BloomFilter> SummaryCacheNode::sibling_filter(NodeId sibling) const {
-    const auto table = replicas_.load(std::memory_order_acquire);
-    const auto pos = find_replica(*table, sibling);
-    return pos == table->end() ? nullptr : pos->second;
+std::size_t SummaryCacheNode::known_siblings() const {
+    const MutexLock lock(replica_mu_);
+    return static_cast<std::size_t>(
+        std::count_if(streams_.begin(), streams_.end(),
+                      [](const auto& entry) { return entry.second.replica.has_value(); }));
+}
+
+std::optional<BloomFilter> SummaryCacheNode::sibling_filter(NodeId sibling) const {
+    const MutexLock lock(replica_mu_);
+    const auto it = streams_.find(sibling);
+    return it == streams_.end() ? std::nullopt : it->second.replica;
 }
 
 }  // namespace sc

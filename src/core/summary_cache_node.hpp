@@ -15,32 +15,25 @@
 // core::DeltaBatcher, shared with the simulators. The mini-proxy in
 // src/proto/ drives this node over real sockets.
 //
-// Thread safety: every public method is safe from any thread. The
-// sibling-replica side is RCU-style. Each sibling's Bloom replica is an
-// immutable snapshot behind a shared_ptr; the set of replicas is an
-// immutable, NodeId-sorted table behind an atomic shared_ptr. Probes
-// (`promising_siblings` / `sibling_may_contain` / `sibling_filter`) load
-// the current table and never take a lock — they see a complete, untorn
-// filter, at worst one update behind. Writers (`apply_sibling_update` /
-// `forget_sibling`) serialize on an internal mutex, build the next
-// snapshot OFF that publication (clone the affected filter, apply the
-// flips, assemble a new table), then publish with one atomic store
-// (`sc_node_replica_swaps_total` counts these). The LOCAL directory side
-// (the counting filter, its delta log and the delta sequence) sits
-// behind its own LEAF mutex, so cache hooks may call `on_cache_insert` /
-// `on_cache_erase` under the cache's locks: nothing is called while it
-// is held. Callers that need encoded datagrams to leave in sequence order
-// serialize encode-and-send themselves (MiniProxy's node_mu_).
+// Thread safety: every public method is safe from any thread. The node
+// holds two leaf locks, and nothing is called while either is held. The
+// LOCAL directory side (the counting filter, its delta log and the delta
+// sequence) sits behind `local_mu_`, so cache hooks may call
+// `on_cache_insert` / `on_cache_erase` under the cache's locks. The
+// SIBLING side keeps one record per sender (its sequence and quarantine
+// state and its Bloom replica) behind `replica_mu_`. Updates
+// (`apply_sibling_update` / `forget_sibling`) change a record in place
+// under it; probes (`promising_siblings` / `sibling_may_contain`) take it
+// too, so a probe sees the whole of an update or none of it. Callers that
+// need encoded datagrams to leave in sequence order serialize
+// encode-and-send themselves (MiniProxy's node_mu_).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
@@ -70,7 +63,7 @@ struct SummaryCacheNodeConfig {
 };
 
 /// What happened to an inbound sibling update (docs/PROTOCOL.md, "Losing
-/// and regaining sync"). Only `applied` changed the published replica;
+/// and regaining sync"). Only `applied` changed the replica;
 /// everything else tells the transport what repair action — if any — the
 /// update calls for.
 enum class SummaryApplyResult : std::uint8_t {
@@ -156,31 +149,27 @@ public:
     /// sets the sync point; an in-sequence delta advances it. Out-of-
     /// sequence deltas, sender reboots, and first contact never corrupt the
     /// replica — they quarantine/withhold it and report what repair the
-    /// transport should run (see SummaryApplyResult). Thread-safe against
-    /// concurrent probes and other writers (see the RCU note above).
+    /// transport should run (see SummaryApplyResult).
     SummaryApplyResult apply_sibling_update(const IcpDirUpdate& update)
-        SC_EXCLUDES(replica_write_mu_);
+        SC_EXCLUDES(replica_mu_);
 
     /// Drop a sibling's replica and its sequence-tracking state (peer
     /// detected as failed; Section VI-B). A later rejoin starts from the
-    /// bootstrap handshake. Thread-safe like apply_sibling_update.
-    void forget_sibling(NodeId sibling) SC_EXCLUDES(replica_write_mu_);
+    /// bootstrap handshake.
+    void forget_sibling(NodeId sibling) SC_EXCLUDES(replica_mu_);
 
     /// True when we cannot currently predict for `sibling` and a DIRREQ is
     /// called for: nothing ever heard, awaiting the bootstrap full, or
     /// quarantined after a gap/reboot. Drives the proxy's resync retries.
-    [[nodiscard]] bool sibling_needs_resync(NodeId sibling) const
-        SC_EXCLUDES(replica_write_mu_);
+    [[nodiscard]] bool sibling_needs_resync(NodeId sibling) const SC_EXCLUDES(replica_mu_);
 
-    /// The siblings whose streams are unsynced or quarantined right now.
-    [[nodiscard]] std::vector<NodeId> siblings_awaiting_resync() const
-        SC_EXCLUDES(replica_write_mu_);
-
-    // --- probing (lock-free) ----------------------------------------------
+    // --- probing ----------------------------------------------------------
     /// Siblings whose replicated summary says the URL may be cached there,
     /// in ascending NodeId order (the sequential-round probe order).
-    /// Takes no lock: probes the atomically published replica snapshot.
-    [[nodiscard]] std::vector<NodeId> promising_siblings(std::string_view url) const;
+    /// Hashes the URL before it takes replica_mu_; the answer is the only
+    /// allocation.
+    [[nodiscard]] std::vector<NodeId> promising_siblings(std::string_view url) const
+        SC_EXCLUDES(replica_mu_);
 
     /// core::PeerDirectory — same answer, engine-facing name.
     [[nodiscard]] std::vector<std::uint32_t> promising_peers(
@@ -188,13 +177,13 @@ public:
         return promising_siblings(url);
     }
 
-    [[nodiscard]] bool sibling_may_contain(NodeId sibling, std::string_view url) const;
-    [[nodiscard]] std::size_t known_siblings() const {
-        return replicas_.load(std::memory_order_acquire)->size();
-    }
-    /// The sibling's current replica snapshot (immutable), or nullptr.
-    /// Safe to keep: a snapshot never changes after publication.
-    [[nodiscard]] std::shared_ptr<const BloomFilter> sibling_filter(NodeId sibling) const;
+    [[nodiscard]] bool sibling_may_contain(NodeId sibling, std::string_view url) const
+        SC_EXCLUDES(replica_mu_);
+    /// Senders whose record holds a replica: synced, not quarantined.
+    [[nodiscard]] std::size_t known_siblings() const SC_EXCLUDES(replica_mu_);
+    /// A copy of the sibling's replica, or nullopt.
+    [[nodiscard]] std::optional<BloomFilter> sibling_filter(NodeId sibling) const
+        SC_EXCLUDES(replica_mu_);
 
     // --- introspection ----------------------------------------------------
     // The node's counts live in the registry only, labeled node=<id>
@@ -204,11 +193,6 @@ public:
     [[nodiscard]] BloomFilter local_bits() const SC_EXCLUDES(local_mu_);
 
 private:
-    /// Immutable, NodeId-sorted set of sibling replicas. A table and every
-    /// filter it points at are frozen at publication; updates replace the
-    /// whole table (sharing the untouched filters).
-    using ReplicaTable = std::vector<std::pair<NodeId, std::shared_ptr<const BloomFilter>>>;
-
     /// In-flight reassembly of a chunked DIRFULL from one sender. The
     /// decode layer caps table_bits (kMaxWireTableBits), so `words` is a
     /// bounded allocation.
@@ -220,14 +204,17 @@ private:
         std::size_t filled = 0;  ///< words received so far == next expected offset
     };
 
-    /// Per-sender reliability state, keyed alongside (not inside) the
-    /// replica table so dropping a diverged replica keeps the knowledge of
-    /// *why* it is gone.
+    /// Everything the node knows about one sender. Dropping a diverged
+    /// replica keeps the record, and with it the knowledge of *why* the
+    /// replica is gone.
     struct PeerStream {
         std::uint32_t boot_id = 0;
         std::uint32_t expected_seq = 0;  ///< 0 = unsynced (no full applied yet)
         bool quarantined = false;
         std::optional<PendingFull> pending;
+        /// What probes read: set when a full commits, changed in place by
+        /// in-sequence deltas, dropped on quarantine.
+        std::optional<BloomFilter> replica;
     };
 
     [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_delta_chunks(
@@ -236,29 +223,18 @@ private:
         SC_REQUIRES(local_mu_);
 
     SummaryApplyResult apply_full_locked(const IcpDirUpdate& update)
-        SC_REQUIRES(replica_write_mu_);
+        SC_REQUIRES(replica_mu_);
     SummaryApplyResult apply_delta_locked(const IcpDirUpdate& update)
-        SC_REQUIRES(replica_write_mu_);
+        SC_REQUIRES(replica_mu_);
 
-    /// Commit `filter` as the sender's replica snapshot.
-    void store_replica_locked(NodeId sibling, std::shared_ptr<BloomFilter> filter)
-        SC_REQUIRES(replica_write_mu_);
     /// Drop the replica (if any) and mark the stream quarantined under the
     /// sender's (possibly new) boot id.
     void quarantine_locked(NodeId sibling, PeerStream& stream, std::uint32_t boot_id)
-        SC_REQUIRES(replica_write_mu_);
-
-    /// Publish `next` as the current table (writer mutex must be held).
-    void publish_replicas(std::shared_ptr<const ReplicaTable> next)
-        SC_REQUIRES(replica_write_mu_);
-
-    /// Position of `sibling` in the NodeId-sorted table, or end().
-    [[nodiscard]] static ReplicaTable::const_iterator find_replica(const ReplicaTable& table,
-                                                                   NodeId sibling);
+        SC_REQUIRES(replica_mu_);
 
     SummaryCacheNodeConfig config_;
-    /// The local filter's hash spec, fixed at construction: the lock-free
-    /// probe and hash_spec() read it without touching counting_.
+    /// The local filter's hash spec, fixed at construction: the probe
+    /// hashes with it and hash_spec() reads it without touching counting_.
     const HashSpec spec_;
     /// Leaf lock for the local directory side: cache hooks take it under
     /// the cache's locks, so nothing is called while it is held.
@@ -268,20 +244,14 @@ private:
     /// chunk consumes one; an elected full-bitmap broadcast consumes one
     /// slot too, so losing it is detectable as a gap.
     std::uint32_t delta_seq_ SC_GUARDED_BY(local_mu_) = 1;
-    mutable Mutex replica_write_mu_;  ///< serializes snapshot builders
-    // RCU publication point: readers do lock-free acquire loads, so this
-    // is deliberately NOT SC_GUARDED_BY(replica_write_mu_) — only the
-    // *store* side is serialized, via publish_replicas' SC_REQUIRES.
-    std::atomic<std::shared_ptr<const ReplicaTable>> replicas_;
-    /// Per-sender sequence/quarantine state. Guarded by the same writer
-    /// mutex as the replica table so the two views can never disagree.
-    std::map<NodeId, PeerStream> streams_ SC_GUARDED_BY(replica_write_mu_);
+    /// Leaf lock for the sibling side: updates and probes both take it.
+    mutable Mutex replica_mu_;
+    std::map<NodeId, PeerStream> streams_ SC_GUARDED_BY(replica_mu_);
     std::uint32_t boot_id_ = 0;
     // The node's counts, labeled node=<id> (docs/OBSERVABILITY.md).
     obs::Counter metric_updates_sent_;
     obs::Counter metric_updates_applied_;
     obs::Counter metric_updates_rejected_;
-    obs::Counter metric_replica_swaps_;
     obs::Counter metric_divergences_;
     obs::Counter metric_resyncs_;
 };

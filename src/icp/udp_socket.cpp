@@ -104,8 +104,10 @@ UdpSocket::UdpSocket(std::uint16_t port) : UdpSocket(Endpoint::loopback(port)) {
 UdpSocket::UdpSocket(const Endpoint& bind_addr) {
     fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0) throw_errno("socket");
-    const int one = 1;
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    // No SO_REUSEADDR: on Linux two UDP sockets that both set it may be
+    // handed the same ephemeral port, and unicast datagrams to that port
+    // then reach only one of them. UDP has no TIME_WAIT to step over, so a
+    // restart on a freed port binds without it.
     const sockaddr_in sa = bind_addr.to_sockaddr();
     if (::bind(fd_, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) < 0) {
         close_fd();

@@ -95,7 +95,6 @@ MiniProxy::MiniProxy(MiniProxyConfig config)
               cache_, nullptr, &node_),
       next_query_number_(std::random_device{}()) {
     backend_kind_ = net::resolve_event_backend_kind(config_.event_backend);
-    siblings_.store(std::make_shared<const SiblingTable>(), std::memory_order_release);
     // Config wins over the environment so a test can pin exact fault rates
     // while CI sweeps loss via SC_UDP_FAULT_* without rebuilding.
     const UdpFaultConfig faults =
@@ -222,17 +221,15 @@ void MiniProxy::add_sibling(NodeId id, Endpoint icp, Endpoint http) {
     bool joined_running_mesh = false;
     {
         const MutexLock lock(membership_mu_);
-        const auto cur = siblings_.load(std::memory_order_acquire);
         auto table = std::make_shared<SiblingTable>();
-        table->reserve(cur->size() + 1);
+        table->reserve(siblings_->size() + 1);
         // Re-adding a known id replaces its entry (endpoint change on
         // rejoin); everyone else's entry is carried over untouched.
-        for (const auto& s : *cur)
+        for (const auto& s : *siblings_)
             if (s->id != id) table->push_back(s);
         table->push_back(std::make_shared<Sibling>(id, icp, http));
-        joined_running_mesh = table->size() > cur->size() && started_.load();
-        siblings_.store(std::shared_ptr<const SiblingTable>(std::move(table)),
-                        std::memory_order_release);
+        joined_running_mesh = table->size() > siblings_->size() && started_.load();
+        siblings_ = std::move(table);
     }
     if (joined_running_mesh) {
         obs::trace(obs::TraceEventType::sibling_joined,
@@ -360,7 +357,7 @@ SC_EVENT_LOOP_ONLY void MiniProxy::send_keepalives_and_check_liveness() {
     for (const auto& s : *sibs) {
         if (s->alive.load(std::memory_order_relaxed) && now - s->last_heard > deadline) {
             s->alive.store(false, std::memory_order_relaxed);
-            // Internally synchronized (RCU writer path) — no node_mu_.
+            // The node locks its replicas itself — no node_mu_.
             node_.forget_sibling(s->id);  // stale replica must not attract queries
             obs::trace(obs::TraceEventType::sibling_dead,
                        static_cast<std::uint16_t>(config_.id), s->id);

@@ -199,8 +199,8 @@ public:
     [[nodiscard]] net::EventBackendKind event_backend_kind() const { return backend_kind_; }
 
     /// Register a sibling. Safe before OR after start(): a runtime join
-    /// publishes a new sibling-table snapshot (RCU) and wakes the event
-    /// loop, whose repair sweep DIRREQs the newcomer's summary (the
+    /// swaps in a new sibling table under membership_mu_ and wakes the
+    /// event loop, whose repair sweep DIRREQs the newcomer's summary (the
     /// newcomer's own DIRREQ fetches ours). Re-adding a known id updates
     /// its endpoints.
     void add_sibling(NodeId id, Endpoint icp, Endpoint http);
@@ -221,7 +221,7 @@ public:
     [[nodiscard]] bool has_disk_tier() const { return cache_.has_disk_tier(); }
 
     /// Diagnostic probe: does our replica of sibling `id` predict `url`?
-    /// Lock-free (RCU replica snapshot) — safe from any thread; used by
+    /// Safe from any thread (the node locks its replicas); used by
     /// convergence tests to watch summaries heal without issuing requests.
     [[nodiscard]] bool sibling_replica_predicts(NodeId id, std::string_view url) const {
         return node_.sibling_may_contain(id, url);
@@ -234,8 +234,8 @@ private:
     /// (liveness) and read by workers picking query targets, hence
     /// atomic; `last_heard` and the resync rate-limit clocks are
     /// event-loop-only; the endpoints and id are immutable for the
-    /// lifetime of the entry (membership changes publish a new table
-    /// snapshot holding a fresh entry, never mutate these in place).
+    /// lifetime of the entry (membership changes swap in a new table
+    /// holding a fresh entry, never mutate these in place).
     struct Sibling {
         NodeId id;
         Endpoint icp;
@@ -254,12 +254,12 @@ private:
               last_heard(std::chrono::steady_clock::now()) {}
     };
 
-    /// Immutable sibling-table snapshot, published RCU-style: readers
-    /// (workers picking targets and pushing bitmaps, the event loop)
-    /// grab the shared_ptr atomically and iterate without a lock;
-    /// membership changes copy the vector under membership_mu_ and
-    /// swap the pointer. Entries are shared_ptr so per-entry atomics
-    /// (`alive`) and event-loop-only fields survive republication.
+    /// Immutable sibling table, copied on write: readers (workers picking
+    /// targets and pushing bitmaps, the event loop) copy the pointer under
+    /// membership_mu_ and iterate without a lock, holding entries across
+    /// sends; membership changes swap in a new vector under that lock.
+    /// Entries are shared_ptr so per-entry atomics (`alive`) and
+    /// event-loop-only fields survive a swap.
     using SiblingTable = std::vector<std::shared_ptr<Sibling>>;
 
     /// One accepted client connection. Owned by the event loop while
@@ -351,9 +351,11 @@ private:
     void note_heard_from(NodeId sender);
 
     // --- summary-mesh resilience (event-loop-only unless noted) --------
-    /// Current sibling-table snapshot (any thread).
-    [[nodiscard]] std::shared_ptr<const SiblingTable> sibling_snapshot() const {
-        return siblings_.load(std::memory_order_acquire);
+    /// Current sibling table (any thread). Take it before node_mu_.
+    [[nodiscard]] std::shared_ptr<const SiblingTable> sibling_snapshot() const
+        SC_EXCLUDES(membership_mu_) {
+        const MutexLock lock(membership_mu_);
+        return siblings_;
     }
     /// Entry for `id` in the current snapshot, or nullptr.
     [[nodiscard]] std::shared_ptr<Sibling> find_sibling(NodeId id) const;
@@ -416,23 +418,24 @@ private:
     /// node_mu_, so sequence numbers leave this proxy in order. It guards
     /// no state — node_ locks its own counting filter — and nothing under
     /// it calls into the cache. Lock order: store locks and node_mu_ both
-    /// come before the node's leaf lock.
+    /// come before the node's leaf locks.
     mutable Mutex node_mu_;
     /// The cache hooks write it directly (on_cache_insert/on_cache_erase
     /// take only the node's leaf lock). Also the engine's
-    /// core::PeerDirectory: the replica probe is lock-free (the node
-    /// publishes immutable snapshots RCU-style), so the request path
-    /// consults it without taking any lock.
+    /// core::PeerDirectory: the replica probe takes only the node's other
+    /// leaf lock, so the request path holds none of the proxy's locks
+    /// while it consults the replicas.
     SummaryCacheNode node_;
     /// The shared decision pipeline (same object the simulators drive).
     /// Its DeltaBatcher elects one flusher per threshold crossing, so
     /// concurrent workers' inserts coalesce into a single update batch.
     core::ProtocolEngine engine_;
-    /// Serializes membership WRITES (add_sibling from any thread vs the
-    /// event loop learning a peer); reads go through sibling_snapshot()
-    /// and never take it. Leaf lock: nothing is acquired under it.
+    /// Guards the table pointer: add_sibling (any thread) and the event
+    /// loop learning a peer swap it; sibling_snapshot() copies it. Leaf
+    /// lock: nothing is acquired under it.
     mutable Mutex membership_mu_;
-    std::atomic<std::shared_ptr<const SiblingTable>> siblings_;
+    std::shared_ptr<const SiblingTable> siblings_ SC_GUARDED_BY(membership_mu_) =
+        std::make_shared<const SiblingTable>();
     ReplyDemux demux_;  ///< routes ICP replies to the querying worker
     /// Seeded per-boot so a restarted proxy's rounds never collide with
     /// replies still in flight toward its predecessor's numbers.

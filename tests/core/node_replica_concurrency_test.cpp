@@ -1,15 +1,15 @@
-// Concurrency contract of the SummaryCacheNode replica table: readers
-// (promising_siblings / sibling_may_contain / sibling_filter) are
-// lock-free against writers applying updates — each sibling's filter is
-// an immutable snapshot behind an atomically published table, so a probe
-// sees either the old snapshot or the new one, never a half-applied
-// filter. Run under TSan in CI; the snapshot-atomicity test catches torn
-// publication in any build.
+// Concurrency contract of SummaryCacheNode's per-sender records: readers
+// (promising_siblings / sibling_may_contain / sibling_filter) and writers
+// (apply_sibling_update / forget_sibling) share replica_mu_, and a writer
+// changes a replica in place under it, so a probe sees the replica from
+// before an update or after it, never a half-applied one. Run under TSan
+// in CI; the never-blended test catches a torn update in any build.
 #include "core/summary_cache_node.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,8 +106,8 @@ TEST(NodeReplicaConcurrency, ProbesRaceForgetAndRebootstrapSafely) {
 
 TEST(NodeReplicaConcurrency, SnapshotsAreNeverBlended) {
     // Two full updates with disjoint contents swapped in a tight loop: any
-    // filter handle a reader grabs must answer exactly like one of the two
-    // source filters — seeing a mix means publication tore.
+    // copy a reader takes must answer exactly like one of the two source
+    // filters — seeing a mix means an update tore.
     SummaryCacheNode odd(cfg(1));
     SummaryCacheNode even(cfg(1));
     for (int i = 0; i < 64; ++i) {
@@ -145,10 +145,10 @@ TEST(NodeReplicaConcurrency, SnapshotsAreNeverBlended) {
     for (int r = 0; r < 4; ++r) {
         readers.emplace_back([&] {
             while (!stop.load(std::memory_order_acquire)) {
-                const auto f = home.sibling_filter(1);
-                ASSERT_NE(f, nullptr);
+                const std::optional<BloomFilter> f = home.sibling_filter(1);
+                ASSERT_TRUE(f.has_value());
                 const bool saw_odd = f->may_contain(odd_keys[0]);
-                // A snapshot is all-odd or all-even, never a blend.
+                // A copy is all-odd or all-even, never a blend.
                 for (const auto& k : odd_keys) EXPECT_EQ(f->may_contain(k), saw_odd) << k;
                 for (const auto& k : even_keys) EXPECT_EQ(f->may_contain(k), !saw_odd) << k;
             }

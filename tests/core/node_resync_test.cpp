@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/summary_cache_node.hpp"
 #include "icp/icp_message.hpp"
@@ -176,9 +177,9 @@ TEST(NodeResync, InterleavedTransfersResolveToTheNewerOne) {
     EXPECT_TRUE(b.sibling_may_contain(1, "old499"));
 }
 
-TEST(NodeResync, SiblingsAwaitingResyncListsQuarantinedPeers) {
+TEST(NodeResync, NeedsResyncFlagsOnlyUnsyncedPeers) {
     SummaryCacheNode b(cfg(9));
-    EXPECT_TRUE(b.siblings_awaiting_resync().empty());
+    EXPECT_TRUE(b.sibling_needs_resync(1));  // never heard: bootstrap
     // Two senders: one healthy, one whose delta arrives before any sync.
     SummaryCacheNode healthy(cfg(1));
     for (const auto& c : healthy.encode_full_update_chunks())
@@ -189,10 +190,82 @@ TEST(NodeResync, SiblingsAwaitingResyncListsQuarantinedPeers) {
     ASSERT_FALSE(msgs.empty());
     EXPECT_EQ(b.apply_sibling_update(decode_dirupdate(msgs[0])),
               SummaryApplyResult::need_bootstrap);
-    const auto waiting = b.siblings_awaiting_resync();
-    ASSERT_EQ(waiting.size(), 1u);
-    EXPECT_EQ(waiting[0], 2u);
     EXPECT_FALSE(b.sibling_needs_resync(1));
+    EXPECT_TRUE(b.sibling_needs_resync(2));
+}
+
+TEST(NodeResync, KnownSiblingsCountsExactlyTheSyncedSenders) {
+    // The repair sweep reads sibling_needs_resync(); a set-up wait reads
+    // known_siblings(). Both read one per-sender record, so after every
+    // result an update can have they must agree: a sender holds a replica
+    // exactly when it needs no resync.
+    SummaryCacheNode b(cfg(9));
+    SummaryCacheNode steady(cfg(3));
+    for (const auto& c : steady.encode_full_update_chunks())
+        ASSERT_EQ(b.apply_sibling_update(decode_dirupdate(c)), SummaryApplyResult::applied);
+    SummaryCacheNode a(cfg(1, kBigDocs));  // its full spans several chunks
+    const auto expect_agreement = [&b](const char* step, std::size_t synced) {
+        std::size_t not_waiting = 0;
+        for (const NodeId id : {NodeId{1}, NodeId{3}})
+            not_waiting += b.sibling_needs_resync(id) ? 0 : 1;
+        EXPECT_EQ(not_waiting, synced) << step;
+        EXPECT_EQ(b.known_siblings(), not_waiting) << step;
+    };
+    const auto deliver = [&b](const std::vector<std::uint8_t>& msg) {
+        return b.apply_sibling_update(decode_dirupdate(msg));
+    };
+    expect_agreement("start", 1);
+
+    a.on_cache_insert("first");
+    const auto first = a.encode_pending_updates();
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(deliver(first[0]), SummaryApplyResult::need_bootstrap);
+    expect_agreement("need_bootstrap", 1);
+
+    const auto old_full = a.encode_full_update_chunks();
+    ASSERT_GE(old_full.size(), 2u);
+    EXPECT_EQ(deliver(old_full[0]), SummaryApplyResult::partial);
+    expect_agreement("partial", 1);
+    for (std::size_t i = 1; i + 1 < old_full.size(); ++i) (void)deliver(old_full[i]);
+    EXPECT_EQ(deliver(old_full.back()), SummaryApplyResult::applied);
+    expect_agreement("applied", 2);
+
+    a.on_cache_insert("second");
+    const auto second = a.encode_pending_updates();
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(deliver(second[0]), SummaryApplyResult::applied);
+    EXPECT_EQ(deliver(second[0]), SummaryApplyResult::duplicate);
+    expect_agreement("duplicate", 2);
+
+    a.on_cache_insert("lost");
+    ASSERT_FALSE(a.encode_pending_updates().empty());  // never delivered
+    a.on_cache_insert("third");
+    const auto third = a.encode_pending_updates();
+    ASSERT_EQ(third.size(), 1u);
+    EXPECT_EQ(deliver(third[0]), SummaryApplyResult::gap);
+    expect_agreement("gap", 1);
+
+    a.on_cache_insert("fourth");
+    const auto fourth = a.encode_pending_updates();
+    ASSERT_EQ(fourth.size(), 1u);
+    EXPECT_EQ(deliver(fourth[0]), SummaryApplyResult::need_resync);
+    expect_agreement("need_resync", 1);
+
+    for (const auto& c : a.encode_full_update_chunks()) (void)deliver(c);
+    expect_agreement("resynced", 2);
+    a.on_cache_insert("fifth");
+    const auto fifth = a.encode_pending_updates();
+    ASSERT_EQ(fifth.size(), 1u);
+    auto respecced = decode_dirupdate(fifth[0]);
+    respecced.spec.table_bits /= 2;  // in sequence; the spec is what is wrong
+    EXPECT_EQ(b.apply_sibling_update(respecced), SummaryApplyResult::rejected);
+    expect_agreement("rejected", 2);
+
+    EXPECT_EQ(deliver(old_full[0]), SummaryApplyResult::stale);
+    expect_agreement("stale", 2);
+
+    b.forget_sibling(1);
+    expect_agreement("forget_sibling", 1);
 }
 
 // --- sequence heartbeat (tail-loss repair) ---------------------------------

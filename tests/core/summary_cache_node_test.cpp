@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,6 @@ TEST(SummaryCacheNode, FirstContactDeltaAsksForBootstrap) {
               SummaryApplyResult::need_bootstrap);
     EXPECT_EQ(b.known_siblings(), 0u);
     EXPECT_TRUE(b.sibling_needs_resync(1));
-    EXPECT_EQ(b.siblings_awaiting_resync(), std::vector<NodeId>{1});
     // The bootstrap full then catches b up, including "x".
     bootstrap(a, b);
     EXPECT_TRUE(b.sibling_may_contain(1, "x"));
@@ -132,8 +132,8 @@ TEST(SummaryCacheNode, DuplicatedUpdateDeliveryIsIdempotent) {
     ASSERT_EQ(b.apply_sibling_update(update), SummaryApplyResult::duplicate);
     EXPECT_TRUE(b.sibling_may_contain(1, "x"));
     EXPECT_EQ(counts("sc_node_replica_divergence_total", 2), 0u);
-    const std::shared_ptr<const BloomFilter> f = b.sibling_filter(1);
-    ASSERT_NE(f, nullptr);
+    const std::optional<BloomFilter> f = b.sibling_filter(1);
+    ASSERT_TRUE(f.has_value());
     EXPECT_LE(f->popcount(), 4u);  // absolute values: no double-set effects
 }
 
@@ -313,7 +313,7 @@ TEST(SummaryCacheNode, ForgetSiblingDropsReplica) {
     b.forget_sibling(1);
     EXPECT_EQ(b.known_siblings(), 0u);
     EXPECT_FALSE(b.sibling_may_contain(1, "x"));
-    EXPECT_EQ(b.sibling_filter(1), nullptr);
+    EXPECT_FALSE(b.sibling_filter(1).has_value());
     // The stream state went with it: a rejoin starts from bootstrap.
     EXPECT_TRUE(b.sibling_needs_resync(1));
 }
@@ -340,8 +340,8 @@ TEST(SummaryCacheNode, WireRoundTripPreservesFilterExactly) {
     SummaryCacheNode b(cfg(2));
     ASSERT_EQ(b.apply_sibling_update(decode_dirupdate(a.encode_full_update())),
               SummaryApplyResult::applied);
-    const std::shared_ptr<const BloomFilter> replica = b.sibling_filter(1);
-    ASSERT_NE(replica, nullptr);
+    const std::optional<BloomFilter> replica = b.sibling_filter(1);
+    ASSERT_TRUE(replica.has_value());
     const BloomFilter local = a.local_bits();
     EXPECT_EQ(replica->popcount(), local.popcount());
     EXPECT_EQ(*replica, local);

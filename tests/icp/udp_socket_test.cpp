@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <system_error>
 #include <vector>
 
 namespace sc {
@@ -105,6 +106,14 @@ TEST(UdpSocket, LargeDatagram) {
     const auto dgram = b.receive(1000);
     ASSERT_TRUE(dgram.has_value());
     EXPECT_EQ(dgram->payload, payload);
+}
+
+TEST(UdpSocket, LivePortCannotBeBoundTwice) {
+    // With SO_REUSEADDR on both sockets Linux lets the second bind share the
+    // port (and may even hand two ephemeral binds the same one), after which
+    // unicast datagrams reach only one of the pair.
+    UdpSocket live;
+    EXPECT_THROW(UdpSocket second(live.local_endpoint()), std::system_error);
 }
 
 }  // namespace

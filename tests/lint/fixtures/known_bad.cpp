@@ -38,7 +38,7 @@ SC_EVENT_LOOP_ONLY void disk_on_loop() {
 }
 
 SC_EVENT_LOOP_ONLY void summary_on_loop() {
-    sync_node_locked();              // seed 14 (line 41): eventloop-blocking
+    const MutexLock lock(node_mu_);  // seed 14 (line 41): eventloop-blocking
     encode_full_update();            // seed 15 (line 42): eventloop-blocking
     encode_full_update_chunks();     // seed 16 (line 43): eventloop-blocking
     encode_pending_updates();        // seed 17 (line 44): eventloop-blocking

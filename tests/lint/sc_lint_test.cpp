@@ -167,15 +167,18 @@ TEST(ScLintEventLoop, FileIoIsBlocking) {
 }
 
 TEST(ScLintEventLoop, SummaryEncodingIsBlocking) {
-    // Draining the journal / serializing a bitmap takes node_mu_ and can be
-    // megabytes of work; the loop must hand it to the worker pool instead.
+    // Serializing a bitmap can be megabytes of work, and node_mu_ is held
+    // across a whole encode-and-send; the loop must hand both to the worker
+    // pool instead. The lock is flagged on any use, not only as a call.
     const auto diags = lint(
         "SC_EVENT_LOOP_ONLY void on_resync() {\n"
         "    const auto chunks = node_.encode_full_update_chunks();\n"
-        "    sync_node_locked();\n"
+        "    const MutexLock lock(node_mu_);\n"
         "}\n");
     ASSERT_EQ(diags.size(), 2u);
     for (const auto& d : diags) EXPECT_EQ(d.rule, "eventloop-blocking");
+    EXPECT_EQ(diags[1].line, 3u);
+    EXPECT_NE(diags[1].message.find("node_mu_"), std::string::npos);
     // ...but ENQUEUEING the push is exactly what the loop should do.
     EXPECT_TRUE(lint("SC_EVENT_LOOP_ONLY void on_resync() {\n"
                      "    enqueue_task([this, id] { push_full_summary_to(id); });\n"

@@ -453,11 +453,12 @@ TEST(HttpSessionParserTest, ConnectionNegotiationFollowsTheRfcDefaults) {
                                      std::string_view connection_header) {
         HttpSessionParser p;
         EXPECT_FALSE(p.on_line(start).has_value());
-        if (!connection_header.empty())
+        if (!connection_header.empty()) {
             EXPECT_FALSE(p.on_line(connection_header).has_value());
+        }
         const auto r = p.on_line("");
         EXPECT_TRUE(r.has_value());
-        return r->keep_alive;
+        return r.has_value() && r->keep_alive;
     };
     EXPECT_TRUE(final_keep_alive("GET /x HTTP/1.1", ""));
     EXPECT_FALSE(final_keep_alive("GET /x HTTP/1.1", "Connection: close"));

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -289,13 +290,19 @@ constexpr std::array kBlockingCalls = {
     std::string_view("pread"),         std::string_view("pwrite"),
     std::string_view("fsync"),         std::string_view("fdatasync"),
     std::string_view("ftruncate"),
-    // Summary encoding: draining the journal and serializing a bitmap take
-    // node_mu_ and can be megabytes of work — full-summary pushes belong on
-    // the worker pool (MiniProxy::push_full_summary_to), never the poll loop.
-    std::string_view("sync_node_locked"),
+    // Summary encoding: serializing a bitmap or a delta can be megabytes of
+    // work — full-summary pushes belong on the worker pool
+    // (MiniProxy::push_full_summary_to), never the poll loop.
     std::string_view("encode_full_update"),
     std::string_view("encode_full_update_chunks"),
     std::string_view("encode_pending_updates"),
+};
+
+/// Locks the poll loop must not touch at all, named as identifiers rather
+/// than calls: MiniProxy's node_mu_ is held across a whole encode-and-send,
+/// so waiting on it stalls every session.
+constexpr std::array kEventLoopDeniedLocks = {
+    std::string_view("node_mu_"),
 };
 
 /// Find the body of the marked function: tokens[i] is the marker. Returns
@@ -328,10 +335,12 @@ std::optional<std::pair<std::size_t, std::size_t>> marked_body(
     return std::make_pair(j + 1, k > j ? k - 1 : j + 1);
 }
 
-template <typename DenyList>
+/// Report deny-listed calls (`deny_calls`, followed by `(` or `<`) and any
+/// use of a deny-listed lock (`deny_locks`) inside the marked bodies.
 void check_marked(const std::vector<Token>& tokens, Sink& sink,
                   std::string_view marker, const std::string& rule,
-                  const DenyList& deny, std::string_view what) {
+                  std::span<const std::string_view> deny_calls, std::string_view what,
+                  std::span<const std::string_view> deny_locks = {}) {
     if (!sink.enabled(rule)) return;
     if (path_ends_with(sink.path, "util/thread_annotations.hpp")) return;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -341,7 +350,13 @@ void check_marked(const std::vector<Token>& tokens, Sink& sink,
         for (std::size_t k = body->first; k < body->second; ++k) {
             const Token& t = tokens[k];
             if (!t.ident) continue;
-            if (std::find(deny.begin(), deny.end(), t.text) == deny.end())
+            if (std::find(deny_locks.begin(), deny_locks.end(), t.text) != deny_locks.end()) {
+                sink.report(t.line, rule,
+                            "lock '" + std::string(t.text) + "' inside " +
+                                std::string(marker) + " function");
+                continue;
+            }
+            if (std::find(deny_calls.begin(), deny_calls.end(), t.text) == deny_calls.end())
                 continue;
             // Deny identifiers are calls (or `new`): require `(` or `<` next
             // so that e.g. a local named `reserve` does not trip the rule.
@@ -647,7 +662,7 @@ LintReport lint_source_report(std::string_view path, std::string_view text,
     check_marked(tokens, sink, "SC_HOT_PATH", "hotpath-alloc", kAllocCalls,
                  "heap-allocating call");
     check_marked(tokens, sink, "SC_EVENT_LOOP_ONLY", "eventloop-blocking",
-                 kBlockingCalls, "blocking call");
+                 kBlockingCalls, "blocking call", kEventLoopDeniedLocks);
     check_counter_shift(tokens, sink);
     check_raw_poll(tokens, sink);
     check_raw_decode(tokens, sink);

@@ -13,8 +13,9 @@
 //                      request cost the paper's scaling argument rests on).
 //   eventloop-blocking functions marked SC_EVENT_LOOP_ONLY run on MiniProxy's
 //                      single poll loop and must never issue a blocking
-//                      socket call or sleep — one blocked loop stalls every
-//                      session.
+//                      socket call or sleep, or touch node_mu_ (held
+//                      across a whole encode-and-send) — one blocked loop
+//                      stalls every session.
 //   raw-counter-shift  counter-width arithmetic ((1 << counter_bits) - 1 and
 //                      friends) is how Section IV overflow bugs happen; it is
 //                      only allowed inside bloom/counter_math.hpp, which
